@@ -208,6 +208,11 @@ func (d *Device) LANAddr() netip.Addr { return d.lanAddr }
 // rawWAN intercepts WAN-arriving packets addressed to the external
 // address: real gateways dispatch those through the NAT table first and
 // deliver to their own control plane only when no binding matches.
+//
+// Every packet the forwarding plane consumes dies inside it: transmit
+// copies it onto the wire and a drop discards it, and either way the
+// packet is released there. Packets left to the control plane (false
+// returns) keep the consumers' own ownership rules.
 func (d *Device) rawWAN(in *stack.NetIf, ip *netpkt.IPv4) bool {
 	// Hairpinning: LAN traffic addressed to our own external address is
 	// intercepted before local delivery.
@@ -216,13 +221,16 @@ func (d *Device) rawWAN(in *stack.NetIf, ip *netpkt.IPv4) bool {
 			// A non-hairpinning NAT eats these; count the drop so the
 			// quirks probe's verdict is diagnosable.
 			d.Engine.CountDrop(nat.DropHairpinDisabled)
+			ip.Release()
 			return true
 		}
 		if !d.Engine.Outbound(ip) {
+			ip.Release()
 			return true
 		}
 		ip.Dst = d.Engine.WAN()
 		if !d.Engine.InboundHairpin(ip) {
+			ip.Release()
 			return true
 		}
 		d.transmit(d.LANIf, ip)
@@ -236,7 +244,8 @@ func (d *Device) rawWAN(in *stack.NetIf, ip *netpkt.IPv4) bool {
 	}
 	if d.Profile.NAT.DecrementTTL {
 		if ip.TTL <= 1 {
-			return true // swallow
+			ip.Release() // swallow
+			return true
 		}
 		ip.TTL--
 	}
@@ -252,6 +261,7 @@ func (d *Device) forward(in *stack.NetIf, ip *netpkt.IPv4) {
 	if d.Profile.NAT.DecrementTTL {
 		if ip.TTL <= 1 {
 			d.Host.SendICMPError(ip, netpkt.ICMPTimeExceeded, netpkt.ICMPCodeTTLExceeded, 0)
+			ip.Release()
 			return
 		}
 		ip.TTL--
@@ -273,6 +283,7 @@ func (d *Device) finishForward(q *fwdQueue, ip *netpkt.IPv4) {
 	q.noteServiced(ip.TotalLen())
 	if q == d.up {
 		if !d.Engine.Outbound(ip) {
+			ip.Release()
 			return
 		}
 		d.ForwardedUp++
@@ -283,18 +294,16 @@ func (d *Device) finishForward(q *fwdQueue, ip *netpkt.IPv4) {
 	d.transmit(d.LANIf, ip)
 }
 
+// transmit sends a forwarded packet out of out and releases it: SendVia
+// has copied it onto the wire, so the packet dies here.
 func (d *Device) transmit(out *stack.NetIf, ip *netpkt.IPv4) {
-	r, ok := d.Host.Lookup(ip.Dst)
-	if !ok || r.If != out {
-		// Fall back to direct delivery on the chosen interface.
-		d.Host.SendVia(out, ip.Dst, ip)
-		return
+	nh := ip.Dst
+	if r, ok := d.Host.Lookup(ip.Dst); ok && r.If == out && r.NextHop.IsValid() {
+		nh = r.NextHop
 	}
-	nh := r.NextHop
-	if !nh.IsValid() {
-		nh = ip.Dst
-	}
+	// Without a route on out, deliver directly on the chosen interface.
 	d.Host.SendVia(out, nh, ip)
+	ip.Release()
 }
 
 // fwdQueue models the device's per-direction forwarding engine: a
@@ -411,6 +420,7 @@ func (q *fwdQueue) enqueue(ip *netpkt.IPv4) {
 		}
 		if q.queued+ip.TotalLen() > buf {
 			q.drops++
+			ip.Release()
 			return
 		}
 		q.queue = append(q.queue, ip)
@@ -527,11 +537,10 @@ func (d *Device) dnsProxyTCPConn(p *sim.Proc, c *tcp.Conn) {
 	mode := d.Profile.DNSTCP
 	var buf []byte
 	for {
-		data, err := c.Read(p, 4096, 10*time.Second)
-		if err != nil {
+		var err error
+		if buf, err = c.ReadAppend(p, buf, 4096, 10*time.Second); err != nil {
 			return
 		}
-		buf = append(buf, data...)
 		msg, rest, ok := dnsmsg.UnframeTCP(buf)
 		if !ok {
 			continue
@@ -588,11 +597,10 @@ func (d *Device) forwardDNSOverTCP(p *sim.Proc, msg []byte) ([]byte, bool) {
 	var buf []byte
 	deadline := d.S.Now() + 5*time.Second
 	for d.S.Now() < deadline {
-		data, err := c.Read(p, 4096, deadline-d.S.Now())
-		if err != nil {
+		var err error
+		if buf, err = c.ReadAppend(p, buf, 4096, deadline-d.S.Now()); err != nil {
 			return nil, false
 		}
-		buf = append(buf, data...)
 		if msg, _, ok := dnsmsg.UnframeTCP(buf); ok {
 			return msg, true
 		}

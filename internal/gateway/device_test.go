@@ -149,3 +149,52 @@ func TestDeviceSameMACQuirkApplied(t *testing.T) {
 		t.Fatal("bu1 must use distinct MACs")
 	}
 }
+
+// TestAllocsForwardTCPSegment pins a gateway forward of a TCP segment
+// at zero allocations: the LAN packet is parsed, queued behind the
+// forwarding plane, translated by a NAT binding hit, re-marshaled onto
+// the WAN link and released, and the server consumes and releases the
+// delivered copy.
+func TestAllocsForwardTCPSegment(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items; allocation pins do not apply")
+	}
+	prof, _ := ByTag("owrt") // rate-limited: the packet waits in the queue
+	r := buildRig(t, prof)
+	t.Cleanup(r.s.Shutdown)
+	delivered := 0
+	r.server.RawHook = func(_ *stack.NetIf, ip *netpkt.IPv4) bool {
+		if ip.Protocol != netpkt.ProtoTCP {
+			return false
+		}
+		delivered++
+		ip.Release()
+		return true
+	}
+	cli, srv := netpkt.Addr4(192, 168, 1, 100), netpkt.Addr4(10, 0, 1, 1)
+	payload := make([]byte, 1460)
+	var segWire []byte
+	forward := func(flags uint8) {
+		seg := netpkt.TCP{SrcPort: 40000, DstPort: 80, Seq: 1, Ack: 1, Flags: flags, Window: 65535, Payload: payload}
+		segWire = seg.AppendMarshal(segWire[:0], cli, srv)
+		out := netpkt.IPv4{TTL: 64, ID: 1, Protocol: netpkt.ProtoTCP, Src: cli, Dst: srv, Payload: segWire}
+		ip, err := netpkt.ParseIPv4(out.MarshalPooled())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.dev.forward(r.dev.LANIf, ip)
+		// Run past the forwarding and link delays only: the binding's
+		// idle timer must not fire.
+		r.s.Run(r.s.Now() + 100*time.Millisecond)
+	}
+	forward(netpkt.TCPSyn)
+	for i := 0; i < 16; i++ {
+		forward(netpkt.TCPAck)
+	}
+	if n := testing.AllocsPerRun(200, func() { forward(netpkt.TCPAck) }); n != 0 {
+		t.Fatalf("gateway TCP forward allocates %.1f objects per run, want 0", n)
+	}
+	if want := 1 + 16 + 201; delivered != want || r.dev.ForwardedUp != int64(want) {
+		t.Fatalf("delivered %d, forwarded %d, want %d", delivered, r.dev.ForwardedUp, want)
+	}
+}

@@ -23,7 +23,7 @@ func TestDetLintFixtures(t *testing.T) {
 }
 
 func TestPoolLintFixtures(t *testing.T) {
-	runFixtures(t, PoolLint, "pool/bad", "pool/clean", "pool/allowed")
+	runFixtures(t, PoolLint, "pool/bad", "pool/clean", "pool/allowed", "pool/release")
 }
 
 func TestExhaustLintFixtures(t *testing.T) {

@@ -20,7 +20,9 @@ import (
 //   - capturing the value in a closure (a callback scheduled on sim may
 //     run after the buffer was recycled);
 //   - calling netpkt.PutBuf on a buffer while a zero-copy view parsed
-//     from it in the same function is still used afterwards.
+//     from it in the same function is still used afterwards;
+//   - using a packet after (*netpkt.IPv4).Release recycled it, or any
+//     view parsed from it: Release is PutBuf for a parsed packet.
 //
 // netpkt.Clone severs aliasing: a cloned value is not tracked. The
 // sanctioned handoff — building a Frame and passing it to a send/
@@ -43,6 +45,7 @@ func runPoolLint(pass *Pass) error {
 				return false
 			}
 			checkPoolFunc(pass, fd)
+			checkReleases(pass, fd)
 			return false
 		})
 	}
@@ -327,4 +330,306 @@ func usedAfter(pass *Pass, body *ast.BlockStmt, pos token.Pos, obj types.Object)
 		return true
 	})
 	return found
+}
+
+// checkReleases flags every (*netpkt.IPv4).Release(x) in fd after which
+// x, or a zero-copy view parsed or sliced from x, is used again.
+func checkReleases(pass *Pass, fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.DeferStmt, *ast.GoStmt:
+			return false // runs at function end or elsewhere, not here
+		case *ast.CallExpr:
+			pkt := releasedPacket(pass, n)
+			if pkt == nil {
+				return true
+			}
+			live := viewsOf(pass, fd.Body, pkt)
+			if use, obj := useAfter(pass, fd.Body, n, live); use.IsValid() {
+				at := pass.Fset.Position(n.Pos())
+				if obj == pkt {
+					pass.Reportf(use, "packet %q used after its Release at %s; release after the last use", obj.Name(), at)
+				} else {
+					pass.Reportf(use, "zero-copy view %q of packet %q used after the packet's Release at %s; release after the last use or Clone the view", obj.Name(), pkt.Name(), at)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// releasedPacket returns x for a call x.Release() of the netpkt IPv4
+// method, or nil.
+func releasedPacket(pass *Pass, call *ast.CallExpr) types.Object {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Release" {
+		return nil
+	}
+	x, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || !isNetpktPath(fn.Pkg().Path()) {
+		return nil
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	if ptr, ok := recv.Type().(*types.Pointer); !ok || !isNamed(ptr.Elem(), "IPv4") {
+		return nil
+	}
+	return pass.TypesInfo.Uses[x]
+}
+
+func isNamed(t types.Type, name string) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == name
+}
+
+// viewsOf returns pkt and every variable in body that aliases its
+// bytes: results of a netpkt Parse function or a netpkt value's Parse
+// method applied to it, and fields or slices taken from it —
+// transitively.
+func viewsOf(pass *Pass, body *ast.BlockStmt, pkt types.Object) map[types.Object]bool {
+	views := map[types.Object]bool{pkt: true}
+	mentions := func(e ast.Expr) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && views[pass.TypesInfo.Uses[id]] {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	argsMention := func(call *ast.CallExpr) bool {
+		for _, a := range call.Args {
+			if mentions(a) {
+				return true
+			}
+		}
+		return false
+	}
+	// parseRecv returns v for a call v.Parse(...) of a netpkt method.
+	parseRecv := func(call *ast.CallExpr) types.Object {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Parse" {
+			return nil
+		}
+		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+		if !ok || fn.Pkg() == nil || !isNetpktPath(fn.Pkg().Path()) {
+			return nil
+		}
+		if id, ok := sel.X.(*ast.Ident); ok {
+			return pass.TypesInfo.Uses[id]
+		}
+		return nil
+	}
+	for grew := true; grew; {
+		grew = false
+		add := func(obj types.Object) {
+			if obj != nil && !views[obj] {
+				views[obj] = true
+				grew = true
+			}
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if v := parseRecv(n); v != nil && argsMention(n) {
+					add(v)
+				}
+			case *ast.AssignStmt:
+				if len(n.Rhs) != 1 {
+					return true
+				}
+				aliases := false
+				switch rhs := n.Rhs[0].(type) {
+				case *ast.CallExpr:
+					name, ok := poolFunc(pass, rhs)
+					aliases = ok && strings.HasPrefix(name, "Parse") && argsMention(rhs)
+				case *ast.SelectorExpr, *ast.SliceExpr:
+					aliases = mentions(rhs)
+				}
+				if !aliases {
+					return true
+				}
+				for _, lhs := range n.Lhs {
+					id, ok := lhs.(*ast.Ident)
+					if !ok || id.Name == "_" {
+						continue
+					}
+					obj := lhsObj(pass, id)
+					if obj == nil {
+						continue
+					}
+					switch obj.Type().Underlying().(type) {
+					case *types.Slice, *types.Pointer:
+						add(obj)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return views
+}
+
+// useAfter returns the first use of a live object reachable after call
+// runs, and that object. It follows the statements after call's
+// statement in its block and then in each enclosing block, up to the
+// function or closure body, and stops at a statement that leaves the
+// block (return, branch, panic): a release on a drop path does not see
+// the uses on the path it left. A loop around the release reaches its
+// whole body again, unless the packet is declared inside the loop. An
+// assignment to the packet itself ends tracking.
+func useAfter(pass *Pass, body *ast.BlockStmt, call *ast.CallExpr, live map[types.Object]bool) (token.Pos, types.Object) {
+	path := pathTo(body, call)
+	for i := len(path) - 1; i > 0; i-- {
+		child, parent := path[i], path[i-1]
+		if _, ok := parent.(*ast.FuncLit); ok {
+			break
+		}
+		switch p := parent.(type) {
+		case *ast.ForStmt:
+			if child == p.Body {
+				if pos, obj := loopUse(pass, p, p.Body, live); pos.IsValid() {
+					return pos, obj
+				}
+			}
+		case *ast.RangeStmt:
+			if child == p.Body {
+				if pos, obj := loopUse(pass, p, p.Body, live); pos.IsValid() {
+					return pos, obj
+				}
+			}
+		}
+		list := stmtList(parent)
+		idx := -1
+		for j, st := range list {
+			if st == child {
+				idx = j
+			}
+		}
+		if idx < 0 {
+			continue
+		}
+		for _, st := range list[idx+1:] {
+			if as, ok := st.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
+				for _, rhs := range as.Rhs {
+					if pos, obj := firstUse(pass, rhs, live); pos.IsValid() {
+						return pos, obj
+					}
+				}
+				for _, lhs := range as.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok {
+						live = without(live, pass.TypesInfo.Uses[id])
+					}
+				}
+				continue
+			}
+			if pos, obj := firstUse(pass, st, live); pos.IsValid() {
+				return pos, obj
+			}
+			if terminates(st) {
+				return token.NoPos, nil
+			}
+		}
+	}
+	return token.NoPos, nil
+}
+
+// loopUse returns a use in a loop body of a live object declared
+// outside the loop: the next iteration reaches it after the release.
+func loopUse(pass *Pass, loop ast.Node, body *ast.BlockStmt, live map[types.Object]bool) (token.Pos, types.Object) {
+	outer := make(map[types.Object]bool)
+	for obj := range live {
+		if obj.Pos() < loop.Pos() || obj.Pos() > loop.End() {
+			outer[obj] = true
+		}
+	}
+	return firstUse(pass, body, outer)
+}
+
+func without(live map[types.Object]bool, obj types.Object) map[types.Object]bool {
+	if !live[obj] {
+		return live
+	}
+	out := make(map[types.Object]bool, len(live))
+	for o := range live {
+		if o != obj {
+			out[o] = true
+		}
+	}
+	return out
+}
+
+// firstUse returns the first identifier in n that uses a live object.
+func firstUse(pass *Pass, n ast.Node, live map[types.Object]bool) (token.Pos, types.Object) {
+	var pos token.Pos
+	var obj types.Object
+	ast.Inspect(n, func(m ast.Node) bool {
+		if pos.IsValid() {
+			return false
+		}
+		if id, ok := m.(*ast.Ident); ok {
+			if o := pass.TypesInfo.Uses[id]; live[o] {
+				pos, obj = id.Pos(), o
+			}
+		}
+		return true
+	})
+	return pos, obj
+}
+
+// pathTo returns the chain of nodes from root down to target.
+func pathTo(root, target ast.Node) []ast.Node {
+	var path []ast.Node
+	var found bool
+	ast.Inspect(root, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		if n == nil {
+			path = path[:len(path)-1]
+			return false
+		}
+		path = append(path, n)
+		if n == target {
+			found = true
+			return false
+		}
+		return true
+	})
+	return path
+}
+
+// stmtList returns the statements directly inside a block-like node.
+func stmtList(n ast.Node) []ast.Stmt {
+	switch n := n.(type) {
+	case *ast.BlockStmt:
+		return n.List
+	case *ast.CaseClause:
+		return n.Body
+	case *ast.CommClause:
+		return n.Body
+	}
+	return nil
+}
+
+// terminates reports whether control never falls through st.
+func terminates(st ast.Stmt) bool {
+	switch st := st.(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := st.X.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+				return true
+			}
+		}
+	}
+	return false
 }

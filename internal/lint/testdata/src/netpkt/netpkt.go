@@ -23,3 +23,11 @@ func PutFrame(f *Frame) {}
 func Clone(b []byte) []byte { return append([]byte(nil), b...) }
 
 func ParseUDP(b []byte) (*UDP, bool) { return &UDP{Raw: b}, true }
+
+type IPv4 struct {
+	Payload []byte
+}
+
+func (ip *IPv4) Release() {}
+
+func (u *UDP) Parse(b []byte) bool { u.Raw = b; return true }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"sync"
 )
 
 // IPv4 option types used by the testbed.
@@ -37,6 +38,11 @@ type IPv4 struct {
 	// header checksum. It models buggy middlebox rewrites (the paper's
 	// zy1/ls1 ICMP-payload checksum bug).
 	BadChecksum bool
+
+	// wire is the buffer ParseIPv4 decoded the packet from; Release
+	// recycles it. It is nil for packets built by hand, cloned, or
+	// already released.
+	wire []byte
 }
 
 // ErrShortPacket is returned when a buffer is too small to contain the
@@ -98,8 +104,12 @@ func (ip *IPv4) Clone() *IPv4 {
 	cp := *ip
 	cp.Options = append([]byte(nil), ip.Options...)
 	cp.Payload = append([]byte(nil), ip.Payload...)
+	cp.wire = nil
 	return &cp
 }
+
+// ipPool recycles the packet structs of ParseIPv4 through Release.
+var ipPool = sync.Pool{New: func() any { return new(IPv4) }}
 
 // ParseIPv4 decodes b into an IPv4 packet. The header checksum is
 // verified; ErrBadChecksum is returned (with a non-nil packet) when it
@@ -107,16 +117,36 @@ func (ip *IPv4) Clone() *IPv4 {
 // be.
 //
 // The returned packet's Options and Payload alias b — the parse copies
-// nothing. The caller keeps ownership of b and must not recycle or
-// rewrite it while the parsed view is live; use Clone to sever the
+// nothing. The packet remembers b: its last consumer may hand both back
+// to the pools with Release. Until then b must not be recycled or
+// rewritten while the parsed view is live; use Clone to sever the
 // aliasing at ownership boundaries.
 func ParseIPv4(b []byte) (*IPv4, error) {
-	ip := new(IPv4)
+	ip := ipPool.Get().(*IPv4)
 	err := ip.Parse(b)
 	if err != nil && err != ErrBadChecksum {
+		*ip = IPv4{}
+		ipPool.Put(ip)
 		return nil, err
 	}
+	ip.wire = b
 	return ip, err
+}
+
+// Release returns a packet from ParseIPv4 to the pools: the wire buffer
+// it was parsed from (PutBuf) and the packet struct itself. Only the
+// packet's last consumer may call it, once no view of the packet — its
+// Options, Payload, or anything parsed from them — is used again; the
+// struct is zeroed and may be handed to the next ParseIPv4 at once.
+// Release is a no-op on packets that did not come from ParseIPv4
+// (built by hand, cloned) and on already released ones.
+func (ip *IPv4) Release() {
+	if ip.wire == nil {
+		return
+	}
+	PutBuf(ip.wire)
+	*ip = IPv4{}
+	ipPool.Put(ip)
 }
 
 // Parse decodes b into ip, overwriting every field. It is the
@@ -316,7 +346,11 @@ func ParseIPv4Lenient(b []byte) (*IPv4, error) {
 		}
 		return ip, err
 	}
-	return ParseIPv4(b)
+	ip, err := ParseIPv4(b)
+	if ip != nil {
+		ip.wire = nil // b is an embedding inside another packet's buffer
+	}
+	return ip, err
 }
 
 // parseHeaderOnly decodes just the IP header, verifying its checksum.

@@ -9,9 +9,10 @@ import (
 // Packet-buffer pooling. Marshal runs for every hop of every packet, so
 // the simulation's steady-state garbage is dominated by wire buffers.
 // GetBuf/PutBuf recycle fixed-capacity buffers through a sync.Pool; the
-// marshal paths draw from it via MarshalPooled, and the stack/netem
-// layers return buffers at the few points where a frame provably dies
-// unparsed (see DESIGN.md §9 for the ownership rules).
+// marshal paths draw from it via MarshalPooled, and the last consumer
+// of a packet returns its buffer: the stack/netem layers when a frame
+// dies unparsed, and (*IPv4).Release where a parsed packet's last view
+// dies (see DESIGN.md §9 for the ownership rules).
 //
 // Only whole pool-class buffers are ever recycled: PutBuf ignores
 // buffers of any other capacity, so handing it an aliased sub-slice
@@ -62,12 +63,25 @@ func PutBuf(b []byte) {
 	switch cap(b) {
 	case bufCapSmall:
 		obs.Proc.PoolPut()
+		if DebugPutBuf != nil {
+			DebugPutBuf(b[:bufCapSmall])
+		}
 		bufPoolSmall.Put((*[bufCapSmall]byte)(b[:bufCapSmall:bufCapSmall]))
 	case bufCapLarge:
 		obs.Proc.PoolPut()
+		if DebugPutBuf != nil {
+			DebugPutBuf(b[:bufCapLarge])
+		}
 		bufPoolLarge.Put((*[bufCapLarge]byte)(b[:bufCapLarge:bufCapLarge]))
 	}
 }
+
+// DebugPutBuf, when non-nil, sees every buffer PutBuf recycles, at its
+// full pool-class length, just before it re-enters the pool. Tests set
+// it to poison recycled bytes, so a view that outlives its release
+// reads garbage instead of a stale copy of the right answer. It must be
+// set before the simulations it observes start.
+var DebugPutBuf func(b []byte)
 
 var framePool = sync.Pool{New: func() any { return new(Frame) }}
 

@@ -177,12 +177,18 @@ func oneTransfer(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, up bool, tot
 		delays  []float64
 		started bool
 	}
-	var rx rxResult
+	rx := rxResult{delays: make([]float64, 0, total/blockSize)}
 
 	recvLoop := func(rp *sim.Proc, c *tcp.Conn) {
+		// pending holds the received bytes not yet cut into whole
+		// blocks. Reads append at its tail; after the whole blocks are
+		// consumed the remainder (under one block) moves to the front,
+		// so one array serves the whole transfer.
 		var pending []byte
 		for rx.bytes < total {
-			data, err := c.Read(rp, 1<<16, 2*time.Minute)
+			n0 := len(pending)
+			var err error
+			pending, err = c.ReadAppend(rp, pending, 1<<16, 2*time.Minute)
 			if err != nil {
 				break
 			}
@@ -190,15 +196,15 @@ func oneTransfer(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, up bool, tot
 				rx.started = true
 				rx.start = rp.Now()
 			}
-			rx.bytes += len(data)
+			rx.bytes += len(pending) - n0
 			rx.end = rp.Now()
-			pending = append(pending, data...)
-			for len(pending) >= blockSize {
-				ts := binary.BigEndian.Uint64(pending[:8])
+			off := 0
+			for ; len(pending)-off >= blockSize; off += blockSize {
+				ts := binary.BigEndian.Uint64(pending[off:])
 				d := float64(rp.Now()-sim.Time(ts)) / float64(time.Millisecond)
 				rx.delays = append(rx.delays, d)
-				pending = pending[blockSize:]
 			}
+			pending = pending[:copy(pending, pending[off:])]
 		}
 	}
 

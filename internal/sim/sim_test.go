@@ -339,8 +339,25 @@ func countGoroutines(baseline int) int {
 	return n
 }
 
+// settledGoroutines returns runtime.NumGoroutine once it has held
+// still for a few scheduler beats, so goroutines of earlier tests'
+// processes that are still being retired do not inflate a baseline.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for stable := 0; stable < 5; {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			stable++
+		} else {
+			n, stable = m, 0
+		}
+	}
+	return n
+}
+
 func TestShutdownReleasesGoroutines(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := settledGoroutines()
 	s := New(1)
 	const procs = 50
 	cleaned := 0

@@ -86,7 +86,7 @@ type NetIf struct {
 	Plen  int // prefix length of the connected subnet
 	name  string
 	arp   map[netip.Addr]netpkt.MAC
-	await map[netip.Addr][]*netpkt.IPv4
+	await map[netip.Addr][][]byte // marshaled packets waiting on ARP, by next hop
 }
 
 // Name returns the interface name.
@@ -125,7 +125,7 @@ func (h *Host) AddIf(name string, addr netip.Addr, plen int) *NetIf {
 		Plen:  plen,
 		name:  name,
 		arp:   make(map[netip.Addr]netpkt.MAC),
-		await: make(map[netip.Addr][]*netpkt.IPv4),
+		await: make(map[netip.Addr][][]byte),
 	}
 	n.Link = &netem.Iface{Name: h.Name + "." + name, MAC: h.NewMAC()}
 	n.Link.Recv = func(f *netpkt.Frame) { h.recvFrame(n, f) }
@@ -191,7 +191,8 @@ func (h *Host) NextIPID() uint16 {
 
 // Send routes and transmits an IP packet. The TTL and ID fields are
 // filled in if zero. Packets with no route are dropped and false is
-// returned.
+// returned. Send does not retain ip or its buffers: the packet is
+// marshaled before Send returns, so the caller may reuse or release it.
 func (h *Host) Send(ip *netpkt.IPv4) bool {
 	r, ok := h.Lookup(ip.Dst)
 	if !ok {
@@ -206,7 +207,9 @@ func (h *Host) Send(ip *netpkt.IPv4) bool {
 }
 
 // SendVia transmits ip out of a specific interface toward nextHop,
-// resolving the next hop's MAC with ARP as needed.
+// resolving the next hop's MAC with ARP as needed. Like Send it does
+// not retain ip: the TTL, ID and source address are assigned first, so
+// the bytes marshaled here are final even when they wait on ARP.
 func (h *Host) SendVia(ifc *NetIf, nextHop netip.Addr, ip *netpkt.IPv4) {
 	if ip.TTL == 0 {
 		ip.TTL = DefaultTTL
@@ -217,31 +220,40 @@ func (h *Host) SendVia(ifc *NetIf, nextHop netip.Addr, ip *netpkt.IPv4) {
 	if !ip.Src.IsValid() {
 		ip.Src = ifc.Addr
 	}
+	wire := ip.MarshalPooled()
 	if ip.Dst == netip.AddrFrom4([4]byte{255, 255, 255, 255}) {
-		f := netpkt.GetFrame()
-		f.Dst, f.Src = netpkt.BroadcastMAC, ifc.Link.MAC
-		f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled()
-		ifc.Link.Send(f)
+		ifc.sendIP(netpkt.BroadcastMAC, wire)
 		return
 	}
 	if mac, ok := ifc.arp[nextHop]; ok {
-		f := netpkt.GetFrame()
-		f.Dst, f.Src = mac, ifc.Link.MAC
-		f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled()
-		ifc.Link.Send(f)
+		ifc.sendIP(mac, wire)
 		return
 	}
-	// Queue behind ARP resolution.
+	// Queue behind ARP resolution. The queue owns the marshaled packet
+	// until resolution sends it or the timeout recycles it.
 	first := len(ifc.await[nextHop]) == 0
-	ifc.await[nextHop] = append(ifc.await[nextHop], ip)
+	ifc.await[nextHop] = append(ifc.await[nextHop], wire)
 	if first {
 		ifc.sendARPRequest(nextHop)
 		h.S.After(arpTimeout, func() {
 			if _, ok := ifc.arp[nextHop]; !ok {
-				delete(ifc.await, nextHop) // unresolved: drop the queue
+				// Unresolved: drop the queue.
+				for _, b := range ifc.await[nextHop] {
+					netpkt.PutBuf(b)
+				}
+				delete(ifc.await, nextHop)
 			}
 		})
 	}
+}
+
+// sendIP hands marshaled IPv4 bytes to the link in a frame addressed to
+// dst. The frame takes ownership of wire.
+func (n *NetIf) sendIP(dst netpkt.MAC, wire []byte) {
+	f := netpkt.GetFrame()
+	f.Dst, f.Src = dst, n.Link.MAC
+	f.Type, f.Payload = netpkt.EtherTypeIPv4, wire
+	n.Link.Send(f)
 }
 
 func (n *NetIf) sendARPRequest(target netip.Addr) {
@@ -292,8 +304,8 @@ func (h *Host) recvARP(ifc *NetIf, f *netpkt.Frame) {
 		// Flush packets waiting on this resolution.
 		if q := ifc.await[a.SenderIP]; len(q) > 0 {
 			delete(ifc.await, a.SenderIP)
-			for _, ip := range q {
-				h.SendVia(ifc, a.SenderIP, ip)
+			for _, wire := range q {
+				ifc.sendIP(a.SenderMAC, wire)
 			}
 		}
 	}
@@ -327,10 +339,11 @@ func (h *Host) IsLocal(addr netip.Addr) bool {
 }
 
 func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
-	// The parse aliases f.Payload; from here on the parsed view owns
-	// the buffer (it may be retained by forwarding queues, transport
-	// stacks or ARP wait queues), so only the drop paths below — where
-	// the view provably dies — may recycle it.
+	// The parse aliases f.Payload; from here on the parsed packet owns
+	// the buffer (forwarding queues and transport stacks may retain
+	// it), so only the drop paths below — where the view provably dies
+	// — recycle it here, and otherwise the packet's last consumer
+	// releases it, or nobody does (DESIGN.md §9).
 	ip, err := netpkt.ParseIPv4(f.Payload)
 	if err != nil {
 		if ip == nil {
@@ -338,7 +351,7 @@ func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
 			return
 		}
 		if err == netpkt.ErrBadChecksum && h.DropBadIPChecksum {
-			netpkt.PutBuf(f.Payload)
+			ip.Release()
 			return
 		}
 	}

@@ -77,6 +77,16 @@ type Stack struct {
 	usedPorts map[uint16]int
 	nextPort  uint16
 	isn       uint32
+
+	// Per-stack scratch for the segment path. A segment is marshaled
+	// into outWire through outSeg and outIP, and Host.Send copies it
+	// into a pooled wire buffer without retaining any of them; inbound
+	// segments are parsed into inSeg. Neither path re-enters itself:
+	// links deliver on scheduled events, never inside Send.
+	outSeg  netpkt.TCP
+	outIP   netpkt.IPv4
+	outWire []byte
+	inSeg   netpkt.TCP
 }
 
 // New attaches a TCP stack to host h.
@@ -158,8 +168,8 @@ type Conn struct {
 	// Send state.
 	sndUna  uint32
 	sndNxt  uint32
-	sndMax  uint32 // highest sequence ever sent (sndNxt may roll back on RTO)
-	sndBuf  []byte // bytes [sndUna, sndUna+len)
+	sndMax  uint32          // highest sequence ever sent (sndNxt may roll back on RTO)
+	sndBuf  sim.Queue[byte] // bytes [sndUna, sndUna+len)
 	finQed  bool
 	finSent bool
 	peerWnd int
@@ -176,6 +186,7 @@ type Conn struct {
 	srtt       time.Duration
 	rttvar     time.Duration
 	rtoTimer   sim.Event
+	rtoFn      func() // onRTO, bound once per connection
 	rttSeq     uint32
 	rttStart   sim.Time
 	rttPending bool
@@ -183,7 +194,7 @@ type Conn struct {
 
 	// Receive state.
 	rcvNxt uint32
-	rcvBuf []byte
+	rcvBuf sim.Queue[byte]
 	ooo    map[uint32][]byte
 	gotFin bool
 	finSeq uint32
@@ -251,7 +262,7 @@ func (c *Conn) armKeepAlive() {
 // (unacknowledged plus unsent). Applications that need timestamps close
 // to wire transmission (the paper's TCP-3 delay probe) pace their
 // writes on this.
-func (c *Conn) Buffered() int { return len(c.sndBuf) }
+func (c *Conn) Buffered() int { return c.sndBuf.Len() }
 
 func (st *Stack) allocPort() uint16 {
 	for i := 0; i < 65536; i++ {
@@ -286,6 +297,7 @@ func (st *Stack) newConn(key fourTuple) *Conn {
 		connN:    sim.NewChan[error](st.s),
 		openTime: st.s.Now(),
 	}
+	c.rtoFn = c.onRTO
 	st.conns[key] = c
 	st.usedPorts[key.lport]++
 	return c
@@ -327,23 +339,30 @@ func (st *Stack) Connect(p *sim.Proc, remote netip.Addr, rport uint16, lport uin
 }
 
 func (c *Conn) sendSeg(seq, ack uint32, flags uint8, payload []byte) {
-	seg := &netpkt.TCP{
-		SrcPort: c.key.lport, DstPort: c.key.rport,
+	c.SegsOut++
+	c.st.send(c.key, seq, ack, flags, uint16(c.advertisedWnd()), payload)
+}
+
+// send marshals one segment on key's connection through the stack's
+// scratch and hands it to the host.
+func (st *Stack) send(key fourTuple, seq, ack uint32, flags uint8, wnd uint16, payload []byte) {
+	st.outSeg = netpkt.TCP{
+		SrcPort: key.lport, DstPort: key.rport,
 		Seq: seq, Ack: ack, Flags: flags,
-		Window:  uint16(c.advertisedWnd()),
+		Window:  wnd,
 		Payload: payload,
 	}
-	ip := &netpkt.IPv4{
+	st.outWire = st.outSeg.AppendMarshal(st.outWire[:0], key.local, key.remote)
+	st.outIP = netpkt.IPv4{
 		Protocol: netpkt.ProtoTCP,
-		Src:      c.key.local, Dst: c.key.remote,
-		Payload: seg.Marshal(c.key.local, c.key.remote),
+		Src:      key.local, Dst: key.remote,
+		Payload: st.outWire,
 	}
-	c.SegsOut++
-	c.st.h.Send(ip)
+	st.h.Send(&st.outIP)
 }
 
 func (c *Conn) advertisedWnd() int {
-	w := recvWndMax - len(c.rcvBuf)
+	w := recvWndMax - c.rcvBuf.Len()
 	if w < 0 {
 		w = 0
 	}
@@ -375,9 +394,9 @@ func (c *Conn) output() {
 			wnd = c.peerWnd
 		}
 		flight := c.flight()
-		unsent := len(c.sndBuf) - flight
+		unsent := c.sndBuf.Len() - flight
 		if c.finSent {
-			unsent = len(c.sndBuf) - (flight - 1) // FIN consumed one seq
+			unsent = c.sndBuf.Len() - (flight - 1) // FIN consumed one seq
 		}
 		if unsent <= 0 {
 			// Maybe send FIN.
@@ -413,9 +432,9 @@ func (c *Conn) output() {
 		if c.finSent {
 			off = flight - 1
 		}
-		data := c.sndBuf[off : off+n]
+		data := c.sndBuf.Items()[off : off+n]
 		flags := uint8(netpkt.TCPAck)
-		if off+n == len(c.sndBuf) {
+		if off+n == c.sndBuf.Len() {
 			flags |= netpkt.TCPPsh
 		}
 		c.sendSeg(c.sndNxt, c.rcvNxt, flags, data)
@@ -444,7 +463,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) error {
 		default:
 			return ErrClosed
 		}
-		room := sndBufLimit - len(c.sndBuf)
+		room := sndBufLimit - c.sndBuf.Len()
 		if room <= 0 {
 			if _, ok := c.txN.Recv(p, time.Hour); !ok {
 				return c.errOr(ErrTimeout)
@@ -455,7 +474,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) error {
 		if n > room {
 			n = room
 		}
-		c.sndBuf = append(c.sndBuf, data[:n]...)
+		c.sndBuf.Append(data[:n])
 		data = data[n:]
 		c.output()
 	}
@@ -469,39 +488,44 @@ func (c *Conn) errOr(def error) error {
 	return def
 }
 
-// Read returns up to max buffered bytes, blocking until data arrives,
-// EOF, or timeout. It returns io.EOF after the peer's FIN once the
-// buffer is drained.
+// Read returns up to max buffered bytes in a new slice; see
+// ReadAppend.
 func (c *Conn) Read(p *sim.Proc, max int, timeout time.Duration) ([]byte, error) {
+	return c.ReadAppend(p, nil, max, timeout)
+}
+
+// ReadAppend appends up to max buffered bytes to dst and returns the
+// extended slice, blocking until data arrives, EOF, or timeout. It
+// returns io.EOF after the peer's FIN once the buffer is drained. On
+// error dst is returned unchanged. Readers that reuse dst read without
+// allocating.
+func (c *Conn) ReadAppend(p *sim.Proc, dst []byte, max int, timeout time.Duration) ([]byte, error) {
 	deadline := c.st.s.Now() + timeout
 	for {
-		if len(c.rcvBuf) > 0 {
-			n := len(c.rcvBuf)
-			if n > max {
-				n = max
-			}
-			data := append([]byte(nil), c.rcvBuf[:n]...)
-			c.rcvBuf = c.rcvBuf[n:]
+		if n := c.rcvBuf.Len(); n > 0 {
+			n = min(n, max)
+			dst = append(dst, c.rcvBuf.Items()[:n]...)
+			c.rcvBuf.Discard(n)
 			c.BytesIn += int64(n)
-			return data, nil
+			return dst, nil
 		}
 		if c.gotFin {
-			return nil, io.EOF
+			return dst, io.EOF
 		}
 		if c.err != nil {
-			return nil, c.err
+			return dst, c.err
 		}
 		remain := deadline - c.st.s.Now()
 		if timeout <= 0 {
 			remain = 0
 		} else if remain <= 0 {
-			return nil, ErrTimeout
+			return dst, ErrTimeout
 		}
 		if _, ok := c.rxN.Recv(p, remain); !ok && timeout > 0 {
-			if len(c.rcvBuf) > 0 || c.gotFin || c.err != nil {
+			if c.rcvBuf.Len() > 0 || c.gotFin || c.err != nil {
 				continue
 			}
-			return nil, ErrTimeout
+			return dst, ErrTimeout
 		}
 	}
 }
@@ -565,7 +589,7 @@ func (c *Conn) notifyAll() {
 
 func (c *Conn) armRTO() {
 	c.rtoTimer.Cancel()
-	c.rtoTimer = c.st.s.After(c.rto, c.onRTO)
+	c.rtoTimer = c.st.s.After(c.rto, c.rtoFn)
 }
 
 func (c *Conn) disarmRTO() {
@@ -602,10 +626,10 @@ func (c *Conn) onRTO() {
 			c.teardown(ErrTimeout)
 			return
 		}
-		if c.peerWnd == 0 && c.flight() == 0 && len(c.sndBuf) > 0 {
+		if c.peerWnd == 0 && c.flight() == 0 && c.sndBuf.Len() > 0 {
 			// Zero-window persist probe: one byte, so the peer's next
 			// ACK reports its reopened window.
-			c.sendSeg(c.sndNxt, c.rcvNxt, netpkt.TCPAck, c.sndBuf[:1])
+			c.sendSeg(c.sndNxt, c.rcvNxt, netpkt.TCPAck, c.sndBuf.Items()[:1])
 			c.sndNxt++
 			c.bumpSndMax()
 			c.Retransmits++
@@ -644,8 +668,8 @@ func (c *Conn) retransmitOne() {
 	fl := c.flight()
 	if fl <= 0 {
 		// Persist probe: one byte of unsent data if any.
-		if len(c.sndBuf) > 0 {
-			c.sendSeg(c.sndNxt, c.rcvNxt, netpkt.TCPAck, c.sndBuf[:1])
+		if c.sndBuf.Len() > 0 {
+			c.sendSeg(c.sndNxt, c.rcvNxt, netpkt.TCPAck, c.sndBuf.Items()[:1])
 			c.sndNxt++
 			c.bumpSndMax()
 			c.Retransmits++
@@ -662,7 +686,7 @@ func (c *Conn) retransmitOne() {
 			n = MSS
 		}
 		c.Retransmits++
-		c.sendSeg(c.sndUna, c.rcvNxt, netpkt.TCPAck, c.sndBuf[:n])
+		c.sendSeg(c.sndUna, c.rcvNxt, netpkt.TCPAck, c.sndBuf.Items()[:n])
 		return
 	}
 	if c.finSent {
@@ -674,9 +698,17 @@ func (c *Conn) retransmitOne() {
 func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
 func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
 
+// input is the stack's IP protocol handler. TCP copies every byte it
+// keeps (payload into the receive queue or the out-of-order stash), so
+// the packet dies here and is released to the pools.
 func (st *Stack) input(ifc *stack.NetIf, ip *netpkt.IPv4) {
-	seg, err := netpkt.ParseTCP(ip.Payload, ip.Src, ip.Dst, true)
-	if err != nil {
+	st.demux(ip)
+	ip.Release()
+}
+
+func (st *Stack) demux(ip *netpkt.IPv4) {
+	seg := &st.inSeg
+	if err := seg.Parse(ip.Payload, ip.Src, ip.Dst, true); err != nil {
 		return
 	}
 	key := fourTuple{local: ip.Dst, lport: seg.DstPort, remote: ip.Src, rport: seg.SrcPort}
@@ -706,15 +738,7 @@ func (st *Stack) sendRST(key fourTuple, seg *netpkt.TCP) {
 			rack++
 		}
 	}
-	out := &netpkt.TCP{
-		SrcPort: key.lport, DstPort: key.rport,
-		Seq: rseq, Ack: rack, Flags: flags,
-	}
-	st.h.Send(&netpkt.IPv4{
-		Protocol: netpkt.ProtoTCP,
-		Src:      key.local, Dst: key.remote,
-		Payload: out.Marshal(key.local, key.remote),
-	})
+	st.send(key, rseq, rack, flags, 0, nil)
 }
 
 func (st *Stack) acceptSyn(l *Listener, key fourTuple, seg *netpkt.TCP) {
@@ -827,10 +851,7 @@ func (c *Conn) processAck(seg *netpkt.TCP) {
 		if c.finSent && ack == c.sndMax {
 			dataAcked-- // FIN consumed one
 		}
-		if dataAcked > len(c.sndBuf) {
-			dataAcked = len(c.sndBuf)
-		}
-		c.sndBuf = c.sndBuf[dataAcked:]
+		c.sndBuf.Discard(min(dataAcked, c.sndBuf.Len()))
 		c.sndUna = ack
 		if seqLT(c.sndNxt, ack) {
 			// A cumulative ACK jumped past our rolled-back send point
@@ -874,7 +895,7 @@ func (c *Conn) processAck(seg *netpkt.TCP) {
 		} else {
 			c.armRTO()
 		}
-		if len(c.sndBuf) < 4*recvWndMax && c.txN.Len() == 0 {
+		if c.sndBuf.Len() < 4*recvWndMax && c.txN.Len() == 0 {
 			c.txN.Send(struct{}{})
 		}
 
@@ -967,7 +988,7 @@ func (c *Conn) processData(seg *netpkt.TCP) {
 		return
 	}
 	if len(payload) > 0 {
-		c.rcvBuf = append(c.rcvBuf, payload...)
+		c.rcvBuf.Append(payload)
 		c.rcvNxt += uint32(len(payload))
 		// Merge contiguous out-of-order segments.
 		for {
@@ -976,7 +997,7 @@ func (c *Conn) processData(seg *netpkt.TCP) {
 				break
 			}
 			delete(c.ooo, c.rcvNxt)
-			c.rcvBuf = append(c.rcvBuf, next...)
+			c.rcvBuf.Append(next)
 			c.rcvNxt += uint32(len(next))
 		}
 		if c.rxN.Len() == 0 {
