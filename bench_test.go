@@ -275,9 +275,10 @@ func BenchmarkAblation_CoarseTimers(b *testing.B) {
 // BenchmarkFleet regenerates a synthetic-fleet UDP-1 population figure
 // end to end — profile sampling, sharded bring-up, the parallel sweep
 // and the cross-shard merge — at several shard counts. More shards cut
-// both wall-clock (shards probe concurrently) and total event cost
-// (per-shard broadcast domains and event queues stay small), so the
-// sharded rows should beat shards=1 even on one core.
+// both wall-clock (shards probe concurrently) and total CPU cost (the
+// switch flood, UDP demultiplexing and GC costs that grow with a
+// shard's size; DESIGN.md §3), so the sharded rows should beat
+// shards=1 even on one core.
 func BenchmarkFleet(b *testing.B) {
 	const fleet = 256
 	for _, shards := range []int{1, 4, 8} {

@@ -6,7 +6,9 @@
 package stack
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"time"
 
@@ -36,8 +38,16 @@ type Host struct {
 	Name string
 
 	ifaces []*NetIf
-	routes []Route
+	local  map[netip.Addr]int // interfaces per assigned address, for IsLocal
 	protos map[uint8]ProtoHandler
+
+	// routes is the routing table in insertion order. index maps each
+	// IPv4 prefix in it, by masked address and length, to the position
+	// of the latest route for that prefix; plens has bit b set while
+	// index holds a /b prefix, so Lookup probes only lengths present.
+	routes []Route
+	index  map[routeKey]int
+	plens  uint64
 
 	icmpListeners []ICMPListener
 
@@ -64,7 +74,9 @@ func NewHost(s *sim.Sim, name string) *Host {
 	return &Host{
 		S:                 s,
 		Name:              name,
+		local:             make(map[netip.Addr]int),
 		protos:            make(map[uint8]ProtoHandler),
+		index:             make(map[routeKey]int),
 		DropBadIPChecksum: true,
 	}
 }
@@ -78,12 +90,19 @@ type Route struct {
 	If      *NetIf
 }
 
+// routeKey identifies an IPv4 prefix: its masked network address and
+// its length.
+type routeKey struct {
+	addr uint32
+	bits uint8
+}
+
 // NetIf is a configured network interface of a Host.
 type NetIf struct {
 	Host  *Host
 	Link  *netem.Iface
-	Addr  netip.Addr
-	Plen  int // prefix length of the connected subnet
+	Addr  netip.Addr // written only by AddIf and SetAddr (IsLocal indexes it)
+	Plen  int        // prefix length of the connected subnet
 	name  string
 	arp   map[netip.Addr]netpkt.MAC
 	await map[netip.Addr][][]byte // marshaled packets waiting on ARP, by next hop
@@ -130,6 +149,7 @@ func (h *Host) AddIf(name string, addr netip.Addr, plen int) *NetIf {
 	n.Link = &netem.Iface{Name: h.Name + "." + name, MAC: h.NewMAC()}
 	n.Link.Recv = func(f *netpkt.Frame) { h.recvFrame(n, f) }
 	h.ifaces = append(h.ifaces, n)
+	h.local[addr]++
 	if addr.IsValid() && plen > 0 {
 		h.AddRoute(n.Prefix(), netip.Addr{}, n)
 	}
@@ -139,21 +159,42 @@ func (h *Host) AddIf(name string, addr netip.Addr, plen int) *NetIf {
 // SetAddr reconfigures an interface address (e.g. after DHCP) and
 // installs the connected route.
 func (n *NetIf) SetAddr(addr netip.Addr, plen int) {
+	h := n.Host
+	if h.local[n.Addr]--; h.local[n.Addr] == 0 {
+		delete(h.local, n.Addr)
+	}
+	h.local[addr]++
 	n.Addr = addr
 	n.Plen = plen
-	n.Host.AddRoute(n.Prefix(), netip.Addr{}, n)
+	h.AddRoute(n.Prefix(), netip.Addr{}, n)
 }
 
 // Ifaces returns the host's interfaces.
 func (h *Host) Ifaces() []*NetIf { return h.ifaces }
 
 // AddRoute installs a route. More-specific prefixes win; among equal
-// lengths the most recently added wins.
+// prefixes the most recently added wins. Only IPv4 prefixes are
+// routable; an invalid or IPv6 prefix never matches.
 func (h *Host) AddRoute(prefix netip.Prefix, nextHop netip.Addr, ifc *NetIf) {
 	h.routes = append(h.routes, Route{Prefix: prefix, NextHop: nextHop, If: ifc})
+	h.indexRoute(len(h.routes) - 1)
 }
 
-// RemoveRoutesVia removes all routes using the given interface.
+// indexRoute points the index entry for routes[i]'s prefix at i,
+// replacing any earlier route for the same prefix.
+func (h *Host) indexRoute(i int) {
+	p := h.routes[i].Prefix
+	if !p.IsValid() || !p.Addr().Is4() {
+		return
+	}
+	b := p.Bits()
+	h.index[routeKey{addr4(p.Addr()) & prefixMask(b), uint8(b)}] = i
+	h.plens |= 1 << b
+}
+
+// RemoveRoutesVia removes all routes using the given interface and
+// rebuilds the index, so a removed route uncovers any earlier route for
+// the same prefix that it had replaced.
 func (h *Host) RemoveRoutesVia(ifc *NetIf) {
 	out := h.routes[:0]
 	for _, r := range h.routes {
@@ -162,20 +203,39 @@ func (h *Host) RemoveRoutesVia(ifc *NetIf) {
 		}
 	}
 	h.routes = out
+	clear(h.index)
+	h.plens = 0
+	for i := range h.routes {
+		h.indexRoute(i)
+	}
 }
 
-// Lookup finds the best route for dst (longest prefix; latest tie-break).
+// Lookup finds the best route for dst: the longest matching prefix,
+// and among equal prefixes the latest added. It probes the index once
+// per prefix length present, longest first.
 func (h *Host) Lookup(dst netip.Addr) (Route, bool) {
-	best := -1
-	var found Route
-	for _, r := range h.routes {
-		if r.Prefix.Contains(dst) && r.Prefix.Bits() >= best {
-			best = r.Prefix.Bits()
-			found = r
+	if !dst.Is4() {
+		return Route{}, false
+	}
+	d := addr4(dst)
+	for m := h.plens; m != 0; {
+		b := bits.Len64(m) - 1
+		m &^= 1 << b
+		if i, ok := h.index[routeKey{d & prefixMask(b), uint8(b)}]; ok {
+			return h.routes[i], true
 		}
 	}
-	return found, best >= 0
+	return Route{}, false
 }
+
+// addr4 returns an IPv4 address as a big-endian integer.
+func addr4(a netip.Addr) uint32 {
+	b := a.As4()
+	return binary.BigEndian.Uint32(b[:])
+}
+
+// prefixMask returns the network mask of a /b prefix (0 for /0).
+func prefixMask(b int) uint32 { return ^uint32(0) << (32 - b) }
 
 // Handle registers the handler for an IP protocol number.
 func (h *Host) Handle(proto uint8, fn ProtoHandler) { h.protos[proto] = fn }
@@ -198,12 +258,20 @@ func (h *Host) Send(ip *netpkt.IPv4) bool {
 	if !ok {
 		return false
 	}
+	h.SendRoute(r, ip)
+	return true
+}
+
+// SendRoute transmits ip along r, a route Lookup returned for ip.Dst:
+// out of r.If toward its next hop, or directly to ip.Dst on-link. It is
+// Send for a caller that already holds the route, and does not retain
+// ip either.
+func (h *Host) SendRoute(r Route, ip *netpkt.IPv4) {
 	nh := r.NextHop
 	if !nh.IsValid() {
 		nh = ip.Dst
 	}
 	h.SendVia(r.If, nh, ip)
-	return true
 }
 
 // SendVia transmits ip out of a specific interface toward nextHop,
@@ -330,12 +398,7 @@ func (h *Host) IsLocal(addr netip.Addr) bool {
 	if addr == netip.AddrFrom4([4]byte{255, 255, 255, 255}) {
 		return true
 	}
-	for _, n := range h.ifaces {
-		if n.Addr == addr {
-			return true
-		}
-	}
-	return false
+	return h.local[addr] > 0
 }
 
 func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {

@@ -1,0 +1,7 @@
+//go:build !race
+
+package udp
+
+// raceEnabled reports whether the race detector is on (see
+// race_test.go).
+const raceEnabled = false

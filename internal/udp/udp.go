@@ -33,6 +33,12 @@ type Stack struct {
 	// GeneratePortUnreachable controls whether datagrams to closed
 	// ports trigger ICMP Port Unreachable (true for real hosts).
 	GeneratePortUnreachable bool
+
+	// Per-stack scratch for the send path. A datagram is marshaled
+	// through these; Host.SendRoute does not retain them.
+	outUDP  netpkt.UDP
+	outIP   netpkt.IPv4
+	outWire []byte
 }
 
 // New attaches a UDP stack to host h.
@@ -197,25 +203,28 @@ func (c *Conn) sendFrom(src, dst netip.Addr, dport uint16, data []byte, ttl uint
 }
 
 func (c *Conn) sendFrom2(src, dst netip.Addr, dport uint16, data []byte, ttl uint8, ipOptions []byte) bool {
+	st := c.st
+	r, ok := st.h.Lookup(dst)
+	if !ok {
+		return false
+	}
 	// Resolve the source address from the route when unbound, so the UDP
 	// checksum's pseudo-header matches the IP header we will emit.
 	if !src.IsValid() {
-		r, ok := c.st.h.Lookup(dst)
-		if !ok {
-			return false
-		}
 		src = r.If.Addr
 	}
-	u := &netpkt.UDP{SrcPort: c.localPort, DstPort: dport, Payload: data}
-	ip := &netpkt.IPv4{
+	st.outUDP = netpkt.UDP{SrcPort: c.localPort, DstPort: dport, Payload: data}
+	st.outWire = st.outUDP.AppendMarshal(st.outWire[:0], src, dst)
+	st.outIP = netpkt.IPv4{
 		Protocol: netpkt.ProtoUDP,
 		Src:      src,
 		Dst:      dst,
 		TTL:      ttl,
 		Options:  ipOptions,
-		Payload:  u.Marshal(src, dst),
+		Payload:  st.outWire,
 	}
-	return c.st.h.Send(ip)
+	st.h.SendRoute(r, &st.outIP)
+	return true
 }
 
 // Recv waits for the next datagram. ok is false on timeout or close.
