@@ -11,8 +11,7 @@ package hgw_test
 //
 // Benchmarks use reduced iteration counts / transfer sizes so a full
 // sweep stays fast; cmd/hgbench -iters 100 -bytes 100000000 runs at
-// paper strength. Everything runs through hgw.Run registry ids — the
-// deprecated RunXXX wrappers are not exercised here.
+// paper strength. Everything runs through hgw.Run registry ids.
 
 import (
 	"context"
@@ -21,6 +20,7 @@ import (
 
 	"hgw"
 	"hgw/internal/probe"
+	"hgw/internal/testbed"
 )
 
 var quickOpts = hgw.Options{Iterations: 1, TransferBytes: 2 << 20}
@@ -227,10 +227,11 @@ func BenchmarkAblation_TestbedBringup(b *testing.B) {
 	// Substrate cost: full 34-device Figure 1 topology with 68 DHCP
 	// exchanges.
 	for i := 0; i < b.N; i++ {
-		tb, _ := hgw.NewTestbed(hgw.Config{Seed: int64(i)})
+		tb, s := testbed.Run(testbed.Config{Seed: int64(i)})
 		if len(tb.Nodes) != 34 {
 			b.Fatal("bad testbed")
 		}
+		s.Shutdown()
 	}
 }
 

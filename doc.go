@@ -21,11 +21,12 @@
 //	}
 //	fmt.Print(results.Render())
 //
-// Run schedules experiments concurrently and reuses Figure 1 testbeds
-// across experiments sharing the run's (tags, seed) requirements — a
-// lane of experiments runs sequentially on one testbed — so a
+// Run reuses Figure 1 testbeds across experiments sharing the run's
+// (tags, seed) requirements — a lane of experiments runs sequentially
+// on one testbed, and WithParallelism sets the lane count — so a
 // multi-experiment run builds far fewer testbeds than it runs
-// experiments. Registry, ExperimentIDs and Lookup expose the catalog,
+// experiments. Lanes and Standalone experiments execute concurrently
+// on WithMaxProcs workers. Registry, ExperimentIDs and Lookup expose the catalog,
 // so front-ends render table-driven instead of hand-maintaining
 // experiment lists; new experiments plug in once via Register.
 //
@@ -45,8 +46,9 @@
 //	)
 //
 // Fleet experiments are the registry entries with a population Sweep
-// (udp1, udp2, udp3, tcp1, tcp4, bindrate). Shards stream through a
-// bounded pipeline of WithMaxProcs workers (default: NumCPU): each
+// (udp1, udp2, udp3, tcp1, tcp4, bindrate). Shards stream through the
+// same bounded pipeline of WithMaxProcs workers (default: NumCPU) that
+// runs inventory lanes: each
 // shard is built, swept by every experiment, reduced to population
 // points and released, so even WithFleet(1_000_000) runs in memory
 // proportional to maxProcs, not fleet size, and WithDeviceResults
@@ -73,21 +75,20 @@
 //
 // # Reproducibility
 //
-// All scheduling knobs that influence what an experiment observes —
-// WithParallelism lane assignment, the fleet shard count, every seed —
-// are explicit parts of the contract rather than machine-dependent
-// defaults, which is why equal-seed runs are comparable across CI and
-// laptops alike. Fleet worker counts (WithMaxProcs) are the deliberate
-// exception: shards are isolated time domains, so maxProcs moves only
-// wall clock, never output, and may safely default to NumCPU. CacheKey
-// condenses the contract into a content address: a stable hash of
-// everything output is a function of (parallelism is dropped for fleet
-// requests, where it cannot matter), which is what lets the hgwd
-// daemon (internal/service, DESIGN.md §8) answer repeated requests
-// from cache byte-identically.
-//
-// The legacy per-experiment entry points (RunUDP1, RunICMP, ...) remain
-// as thin wrappers over the registry and are deprecated.
+// One rule separates the knobs. The partition — WithParallelism, the
+// inventory lane count, and WithShards, the fleet shard count — decides
+// what each experiment observes, so it is part of the output and of
+// the contract, with fixed defaults rather than machine-dependent ones;
+// so is every seed. WithMaxProcs is the worker count for both modes:
+// units are isolated time domains merged in unit order, so maxProcs
+// moves only wall clock and memory, never output, and may safely
+// default to NumCPU. Equal-seed runs are therefore comparable across
+// CI and laptops alike. CacheKey condenses the contract into a content
+// address: a stable hash of everything output is a function of
+// (parallelism is dropped for fleet requests, which have no lanes, and
+// maxProcs from every request), which is what lets the hgwd daemon
+// (internal/service, DESIGN.md §8) answer repeated requests from cache
+// byte-identically.
 //
 // Lower-level building blocks (the simulator, packet codecs, transport
 // stacks, the NAT engine, the device profiles and the probers) live in

@@ -313,8 +313,7 @@ type fwdQueue struct {
 	d      *Device
 	name   string
 	other  *fwdQueue
-	queue  []*netpkt.IPv4
-	qhead  int
+	queue  sim.Queue[*netpkt.IPv4]
 	queued int
 	busy   bool
 	drops  int
@@ -423,7 +422,7 @@ func (q *fwdQueue) enqueue(ip *netpkt.IPv4) {
 			ip.Release()
 			return
 		}
-		q.queue = append(q.queue, ip)
+		q.queue.Push(ip)
 		q.queued += ip.TotalLen()
 		return
 	}
@@ -455,18 +454,10 @@ func (q *fwdQueue) serveDone() {
 }
 
 func (q *fwdQueue) next() {
-	if q.qhead == len(q.queue) {
-		q.queue = q.queue[:0]
-		q.qhead = 0
+	if q.queue.Len() == 0 {
 		return
 	}
-	ip := q.queue[q.qhead]
-	q.queue[q.qhead] = nil
-	q.qhead++
-	if q.qhead == len(q.queue) {
-		q.queue = q.queue[:0]
-		q.qhead = 0
-	}
+	ip := q.queue.Pop()
 	q.queued -= ip.TotalLen()
 	q.serve(ip)
 }

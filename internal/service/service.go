@@ -36,10 +36,12 @@ type Spec struct {
 	Parallelism   int      `json:"parallelism,omitempty"`
 	Fleet         int      `json:"fleet,omitempty"`
 	Shards        int      `json:"shards,omitempty"`
-	// MaxProcs bounds fleet shard workers (0 = NumCPU on the serving
-	// node). It is a pure throughput knob: fleet output — and therefore
-	// the job's cache key — is identical at any value, so clients on
-	// differently-sized machines share cache entries.
+	// MaxProcs is the job's worker count, for inventory lanes and fleet
+	// shards alike (0 = NumCPU on the serving node). It is a pure
+	// throughput knob: output — and therefore the job's cache key — is
+	// identical at any value, so clients on differently-sized machines
+	// share cache entries. Parallelism, the inventory lane count, is
+	// part of the output and keyed.
 	MaxProcs int `json:"max_procs,omitempty"`
 	// Faults enables deterministic fault injection (hgw.WithFaults).
 	// Absent or all-zero it contributes nothing to the cache key, so

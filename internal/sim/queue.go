@@ -9,8 +9,9 @@ package sim
 // memory: the array is allocated on the first append and grows with
 // the traffic, so idle queues stay small.
 //
-// Chan queues its values and waiters in it, and TCP connections their
-// send and receive bytes.
+// Chan queues its values and waiters in it, TCP connections their send
+// and receive bytes, netem links their transmit and propagation frames,
+// and gateway forwarding engines their waiting packets.
 type Queue[T any] struct {
 	buf  []T // the live values are buf[head:]
 	head int

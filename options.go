@@ -12,12 +12,12 @@ import (
 // Option configures a Runner (and thus a Run call).
 type Option func(*settings)
 
-// defaultParallelism is a fixed constant, not GOMAXPROCS: lane
-// assignment (and therefore which testbed an experiment observes)
-// follows parallelism, so a hardware-dependent default would make
-// equal-seed runs render differently across machines. Fleet mode has
-// no such coupling — shards are independent time domains — so its
-// worker count (maxProcs) defaults to the machine's core count.
+// defaultParallelism is a fixed constant, not GOMAXPROCS: parallelism
+// is the inventory lane count, and lane assignment decides which
+// testbed an experiment observes, so a hardware-dependent default would
+// make equal-seed runs render differently across machines. The worker
+// count (maxProcs) has no such coupling — units are independent — so
+// it defaults to the machine's core count.
 const defaultParallelism = 4
 
 // settings is the resolved option set shared by every experiment in a
@@ -70,10 +70,11 @@ func newSettings(opts []Option) settings {
 // service answer repeated requests from cache (see internal/service and
 // DESIGN.md §8).
 //
-// Fleet requests (WithFleet > 0) do not key on parallelism or
-// WithMaxProcs: shard execution is deterministic at any worker count,
-// so the same fleet job submitted from a 1-core client and a 64-core
-// client hits the same cache entry.
+// No request keys on WithMaxProcs, the worker count: output is
+// identical at any worker count, so the same job submitted from a
+// 1-core client and a 64-core client hits the same cache entry. Fleet
+// requests (WithFleet > 0) do not key on parallelism either: it is the
+// inventory lane count and fleet runs have no lanes.
 //
 // Canonicalization matches Run's own request handling: ids are
 // trimmed, alias-resolved and deduplicated (tcp3 and tcp2 share a key),
@@ -119,12 +120,11 @@ func (s settings) canonical(exps []*Experiment) string {
 		o.Iterations, int64(o.Resolution), int64(o.MaxUDPTimeout),
 		int64(o.MaxTCPTimeout), o.TransferBytes, int64(o.Verdict))
 	if s.fleet > 0 {
-		// Fleet output is independent of every concurrency knob: shards
-		// are isolated time domains and the merge is ordered, so runs at
-		// parallelism 1 and NumCPU render byte-identically. Hash a
-		// wildcard so those runs share a cache entry. ("*" cannot
-		// collide with the inventory form, which always prints a
-		// number.) maxProcs is likewise absent from the hash.
+		// Fleet runs have no lanes, so parallelism cannot change their
+		// output: hash a wildcard so fleet runs at any parallelism share
+		// a cache entry. ("*" cannot collide with the inventory form,
+		// which always prints a number.) maxProcs, the worker count, is
+		// absent from every hash.
 		fmt.Fprintf(&sb, "parallelism=*\nfleet=%d\nshards=%d\n", s.fleet, s.shards)
 	} else {
 		fmt.Fprintf(&sb, "parallelism=%d\nfleet=%d\nshards=%d\n", s.parallelism, s.fleet, s.shards)
@@ -156,9 +156,10 @@ func WithTags(tags ...string) Option {
 
 // WithSeed seeds the simulations. Output is a pure function of (ids,
 // tags, seed, options, parallelism): runs agreeing on all of them
-// render byte-identically, on any machine. Experiments sharing a lane
-// run on a testbed with history, so their values can differ slightly
-// from a single-experiment run of the same seed.
+// render byte-identically, on any machine and at any WithMaxProcs.
+// Experiments sharing a lane run on a testbed with history, so their
+// values can differ slightly from a single-experiment run of the same
+// seed.
 func WithSeed(seed int64) Option {
 	return func(s *settings) { s.seed = seed }
 }
@@ -182,37 +183,40 @@ func WithOptions(o Options) Option {
 	return func(s *settings) { s.probeOpts = o }
 }
 
-// WithParallelism bounds how many experiments execute concurrently and
-// therefore how many testbeds an inventory run builds: shared-testbed
-// experiments are split deterministically across at most n lanes, each
-// lane reusing a single testbed. Parallelism is part of the inventory
-// reproducibility contract — it decides lane assignment, and a lane's
-// later experiments observe its earlier experiments' testbed history —
-// so it defaults to a fixed 4 rather than the machine's core count.
-// Fleet runs ignore it entirely (shards are independent; see
-// WithMaxProcs), which is why CacheKey drops it for fleet requests.
+// WithParallelism sets the inventory lane count: shared-testbed
+// experiments are split deterministically across min(n, experiments)
+// lanes, each lane building one testbed and running its experiments on
+// it in order. It is the inventory partition, as WithShards is the
+// fleet partition, and not a concurrency bound (that is WithMaxProcs).
+// Parallelism is part of the output — a lane's later experiments
+// observe its earlier experiments' testbed history — so CacheKey keys
+// on it and it defaults to a fixed 4 rather than the machine's core
+// count. Fleet runs have no lanes and ignore it, which is why CacheKey
+// drops it for fleet requests.
 func WithParallelism(n int) Option {
 	return func(s *settings) { s.parallelism = n }
 }
 
-// WithMaxProcs bounds how many fleet shards execute concurrently
-// (default: runtime.NumCPU; values below 1 select the default). Unlike
-// WithParallelism, maxProcs is a pure throughput knob with no
-// reproducibility weight: every shard is an independent virtual time
-// domain whose simulator seed, device partition and rng stream depend
-// only on (seed, shard index), and the merge step reassembles shard
-// results in shard order, so a fleet run renders byte-identically at
-// maxProcs 1, 4 or 64. It also sets the run's memory budget: at most
-// maxProcs shards (plus a small pipeline window) are resident at once,
-// which is what lets WithFleet(1_000_000) run in bounded memory.
-// Inventory runs ignore it.
+// WithMaxProcs sets the worker count for both run modes: at most n
+// units — fleet shards, or inventory lanes and Standalone experiments —
+// execute at once (default: runtime.NumCPU; values below 1 select the
+// default). Unlike WithParallelism and WithShards, maxProcs is a pure
+// throughput knob with no reproducibility weight: every unit is an
+// independent virtual time domain whose inputs depend only on the
+// run's settings and the unit index, and the merge consumes units in
+// index order, so a run renders byte-identically at maxProcs 1, 4 or
+// 64, and CacheKey ignores it. It also sets the run's memory budget:
+// at most maxProcs testbeds (plus a small pipeline window of finished
+// units) are resident at once, which is what lets
+// WithFleet(1_000_000) run in bounded memory.
 func WithMaxProcs(n int) Option {
 	return func(s *settings) { s.maxProcs = n }
 }
 
 // WithProgress installs a callback invoked when each experiment starts
-// and finishes. It may be called concurrently from scheduler goroutines,
-// but calls are serialized.
+// and finishes (and, in fleet runs, as each shard starts and merges;
+// see Progress). It may be called from any of the run's worker
+// goroutines, but calls are serialized.
 func WithProgress(fn func(Progress)) Option {
 	return func(s *settings) { s.progress = fn }
 }

@@ -29,7 +29,9 @@ const (
 	// shard index, Index/Total count shards, and ID is empty. Shard
 	// start events arrive in worker-scheduling order; shard Done
 	// events arrive strictly in shard index order (the merge order).
-	// Inventory runs never emit shard events.
+	// Inventory runs never emit shard events: their lanes and
+	// Standalone experiments run on the same worker pool, but only
+	// their experiment events are reported.
 	ProgressShard
 )
 
@@ -37,9 +39,13 @@ const (
 // experiment starts (Done false) and finishes (Done true). Every
 // experiment in a run emits exactly one Done event; the preceding
 // start event is omitted for experiments that never began executing
-// (context cancelled, or their lane's testbed failed to build). Fleet
-// runs additionally emit ProgressShard events bracketing each shard's
-// build/sweep and merge.
+// (context cancelled, or their lane's testbed failed to build). In an
+// inventory run, an experiment's start and Done events bracket its
+// execution on one of the WithMaxProcs workers, so at most maxProcs
+// experiments are between start and Done at any moment. Fleet runs
+// report every experiment as started up front and done after the
+// merge, and additionally emit ProgressShard events bracketing each
+// shard's build/sweep and merge.
 type Progress struct {
 	// Kind is the event class (experiment by default).
 	Kind ProgressKind
@@ -157,22 +163,24 @@ func runError(exps []*Experiment, errs []error) error {
 	return &RunError{Failures: failures}
 }
 
-// Runner schedules registry experiments over shared testbeds.
+// Runner schedules registry experiments as sealed units on one worker
+// pipeline (runUnits), whichever mode the run is in. Two knobs shape a
+// run, and they do different jobs:
 //
-// Experiments that run on a shared testbed (all but the Standalone
-// ones) are split deterministically across at most WithParallelism
-// lanes; each lane builds one Figure 1 testbed and runs its experiments
-// on it sequentially, so a multi-experiment run builds min(parallelism,
-// experiments) testbeds instead of one per experiment. Lanes — and
-// Standalone experiments — execute concurrently, bounded by the same
-// parallelism. The lane assignment depends only on the id list and the
-// parallelism, so runs with equal seeds render byte-identically.
+//   - The partition decides which units exist, so it is part of the
+//     output and of CacheKey. An inventory run has one unit per lane —
+//     shared-testbed experiments split deterministically across
+//     min(WithParallelism, experiments) lanes, each lane building one
+//     Figure 1 testbed and running its experiments on it in order —
+//     plus one unit per Standalone experiment. A fleet run (WithFleet)
+//     has one unit per WithShards shard.
+//   - WithMaxProcs is the worker count: at most maxProcs units execute
+//     at once, in either mode. Units share nothing and merge in unit
+//     order, so it moves only wall clock and memory, never output.
 //
-// Fleet runs (WithFleet) schedule differently: shards stream through a
-// bounded pipeline of WithMaxProcs workers, each shard built, swept by
-// every experiment, and released within one Run. Shards are ephemeral —
-// nothing carries over between runs — so a Runner stays reusable even
-// after a cancelled or failed fleet run.
+// Units are ephemeral — each builds, runs and releases its testbed
+// within one Run, and nothing carries over between runs — so a Runner
+// stays reusable even after a cancelled or failed run.
 type Runner struct {
 	set settings
 
@@ -204,9 +212,12 @@ func (r *Runner) Report() *RunReport {
 	return r.report
 }
 
-// finishReport stores a completed run's report and delivers it to the
+// finishReport stamps a completed run's wall clock and process
+// diagnostics on its report, stores it and delivers it to the
 // WithRunReport callback.
-func (r *Runner) finishReport(rep *RunReport) {
+func (r *Runner) finishReport(rep *RunReport, runStart time.Time) {
+	rep.WallMS = float64(obs.Since(runStart)) / 1e6
+	rep.Process = processStats()
 	r.mu.Lock()
 	r.report = rep
 	r.mu.Unlock()
@@ -244,7 +255,16 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 	total := len(exps)
 	slots := make([]*Result, total)
 	errs := make([]error, total)
+	// done records experiment i's outcome and emits its one Done event.
+	done := func(i int, err error) {
+		errs[i] = err
+		r.emit(Progress{ID: exps[i].ID, Index: i, Total: total, Done: true, Err: err})
+	}
 
+	// Units 0..lanes-1 are the shared-testbed lanes: lane l runs
+	// sharedIdx[l], sharedIdx[l+lanes], ... in order on one testbed.
+	// Each Standalone experiment follows as a unit of its own. The
+	// assignment depends only on the id list and the parallelism.
 	var sharedIdx, soloIdx []int
 	for i, e := range exps {
 		if e.Standalone {
@@ -253,29 +273,19 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 			sharedIdx = append(sharedIdx, i)
 		}
 	}
-
-	// sem bounds concurrently executing experiments across lanes and
-	// standalone runs.
-	sem := make(chan struct{}, r.set.parallelism)
-	var wg sync.WaitGroup
-
-	// Telemetry: each lane gets its own registry (single-writer: the
-	// lane goroutine), snapshotted when the lane unwinds. Lane count
-	// and assignment are deterministic, so so are the lane sections.
-	var runStart time.Time
-	var laneSnaps []*obs.Snapshot
-	var laneReps []ShardReport
-	if r.set.report {
-		runStart = obs.Now()
+	lanes := min(r.set.parallelism, len(sharedIdx))
+	units := make([][]int, lanes, lanes+len(soloIdx))
+	for j, i := range sharedIdx {
+		units[j%lanes] = append(units[j%lanes], i)
+	}
+	for _, i := range soloIdx {
+		units = append(units, []int{i})
 	}
 
 	runOne := func(i int, env *Env) {
-		sem <- struct{}{}
-		defer func() { <-sem }()
 		defer func() {
 			if p := recover(); p != nil {
-				errs[i] = fmt.Errorf("panic: %v", p)
-				r.emit(Progress{ID: exps[i].ID, Index: i, Total: total, Done: true, Err: errs[i]})
+				done(i, fmt.Errorf("panic: %v", p))
 			}
 		}()
 		r.emit(Progress{ID: exps[i].ID, Index: i, Total: total})
@@ -287,112 +297,79 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 				res, err = nil, cerr
 			}
 		}
-		slots[i], errs[i] = res, err
-		r.emit(Progress{ID: exps[i].ID, Index: i, Total: total, Done: true, Err: err})
+		slots[i] = res
+		done(i, err)
 	}
 
-	// Shared-testbed lanes: lane l runs sharedIdx[l], sharedIdx[l+L], ...
-	lanes := r.set.parallelism
-	if lanes > len(sharedIdx) {
-		lanes = len(sharedIdx)
-	}
-	if r.set.report {
-		laneSnaps = make([]*obs.Snapshot, lanes)
-		laneReps = make([]ShardReport, lanes)
-	}
-	for l := 0; l < lanes; l++ {
-		var mine []int
-		for j := l; j < len(sharedIdx); j += lanes {
-			mine = append(mine, sharedIdx[j])
+	// runUnit holds one worker slot for the unit's whole life, so at
+	// most maxProcs testbeds are alive at once.
+	tel := make([]unitTelemetry, len(units))
+	runUnit := func(u int, w workerSlots) {
+		w.acquire()
+		defer w.release()
+		shared := u < lanes
+		var tb *Testbed
+		var s *Sim
+		var buildErr error
+		if shared {
+			// Standalone experiments build private testbeds out of the
+			// Runner's sight: only lanes get a report section.
+			r.beginUnit(&tel[u], u, 0)
 		}
-		wg.Add(1)
-		go func(l int, mine []int) {
-			defer wg.Done()
-			var tb *Testbed
-			var s *Sim
-			var buildErr error
-			var reg *obs.Registry
-			var laneStart time.Time
-			if r.set.report {
-				reg = obs.NewRegistry()
-				laneStart = obs.Now()
+		// Drop the lane's testbed with its process goroutines unwound;
+		// parked servers would otherwise outlive the Run.
+		defer func() {
+			if s != nil {
+				s.Shutdown()
 			}
-			// Drop the lane's testbed with its process goroutines
-			// unwound; parked servers would otherwise outlive the Run.
-			// Then snapshot the lane's registry: the Shutdown above is
-			// the lane's last simulator activity, so the snapshot is
-			// complete, and wg.Wait publishes it to the assembler.
-			defer func() {
-				if s != nil {
-					s.Shutdown()
-				}
-				if reg != nil {
-					snap := reg.Snapshot()
-					laneSnaps[l] = snap
-					laneReps[l] = ShardReport{
-						Index:   l,
-						WallMS:  float64(obs.Since(laneStart)) / 1e6,
-						Metrics: metricsFromSnapshot(snap),
-						Trace:   traceEntries(snap.Trace),
-					}
-					if s != nil {
-						laneReps[l].SimEndNS = int64(s.Now())
-					}
-				}
-			}()
-			for _, i := range mine {
-				err := ctx.Err()
-				if err == nil {
-					// A failed build poisons the whole lane: the same
-					// (tags, seed) would fail identically, so don't
-					// rebuild per experiment.
+			tel[u].finish(s)
+		}()
+		for _, i := range units[u] {
+			err := ctx.Err()
+			if err == nil {
+				// A failed build poisons the whole lane: the same
+				// (tags, seed) would fail identically, so don't
+				// rebuild per experiment.
+				err = buildErr
+			}
+			if err == nil && shared && tb == nil {
+				if tb, s, buildErr = r.newTestbed(tel[u].reg); buildErr != nil {
 					err = buildErr
+				} else {
+					// This unit owns the simulator: poll ctx between
+					// events so cancellation interrupts a probe mid-run
+					// instead of waiting out the experiment.
+					s.SetInterrupt(func() bool { return ctx.Err() != nil })
+					// Chaos: lanes seed-split fault plans by lane index,
+					// like fleet shards do by shard index.
+					r.installFaults(s, tb, u)
 				}
-				if err == nil && tb == nil {
-					if tb, s, buildErr = r.newTestbed(reg); buildErr != nil {
-						err = buildErr
-					} else {
-						// The lane goroutine owns this simulator: poll ctx
-						// between events so cancellation interrupts a probe
-						// mid-run instead of waiting out the experiment.
-						s.SetInterrupt(func() bool { return ctx.Err() != nil })
-						// Chaos: lanes seed-split fault plans by lane
-						// index, like fleet shards do by shard index.
-						r.installFaults(s, tb, l)
-					}
-				}
-				if err != nil {
-					errs[i] = err
-					r.emit(Progress{ID: exps[i].ID, Index: i, Total: total, Done: true, Err: err})
-					continue
-				}
-				runOne(i, &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts, Testbed: tb, Sim: s})
 			}
-		}(l, mine)
+			if err != nil {
+				done(i, err)
+				continue
+			}
+			runOne(i, &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts, Testbed: tb, Sim: s})
+		}
 	}
 
-	// Standalone experiments build their own testbeds.
-	for _, i := range soloIdx {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				r.emit(Progress{ID: exps[i].ID, Index: i, Total: total, Done: true, Err: err})
+	runStart := obs.Now()
+	var sections unitSections
+	runUnits(ctx, len(units), r.set.maxProcs,
+		func(u int) func(workerSlots) {
+			return func(w workerSlots) { runUnit(u, w) }
+		},
+		func(u int, skipped bool) {
+			if skipped {
+				for _, i := range units[u] {
+					done(i, ctx.Err())
+				}
 				return
 			}
-			runOne(i, &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts})
-		}(i)
-	}
-	wg.Wait()
-
-	if r.set.report {
-		r.finishReport(&RunReport{
-			Shards:  laneReps,
-			Totals:  metricsFromSnapshot(obs.Merge(laneSnaps...)),
-			WallMS:  float64(obs.Since(runStart)) / 1e6,
-			Process: processStats(),
+			sections.add(u, &tel[u])
 		})
+	if r.set.report {
+		r.finishReport(sections.report(false, 0), runStart)
 	}
 
 	out := make(Results, 0, total)
@@ -402,6 +379,150 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 		}
 	}
 	return out, runError(exps, errs)
+}
+
+// workerSlots is the run's worker bound: a unit holds one slot while it
+// executes a simulator, so at most maxProcs units do at once.
+type workerSlots chan struct{}
+
+func (w workerSlots) acquire() { w <- struct{}{} }
+func (w workerSlots) release() { <-w }
+
+// runUnits is the one scheduler behind Run: it executes n sealed units
+// — inventory lanes and Standalone experiments, or fleet shards — and
+// merges them in unit order. Three goroutine roles cooperate:
+//
+//   - a dispatcher walks units in index order, takes a window token
+//     for each, calls launch(i) on its own goroutine (so per-unit
+//     inputs drawn there, like a fleet's profile stream, are drawn in
+//     unit order) and starts the returned body on a new goroutine;
+//   - bodies — at most maxProcs holding a workerSlots slot at once —
+//     execute their unit and publish its output;
+//   - the calling goroutine runs merge(i, skipped) strictly in unit
+//     order as each body finishes, then returns the unit's window
+//     token. The token return is what bounds resident units — the
+//     run's memory budget — to the window, a small constant over
+//     maxProcs.
+//
+// When ctx is cancelled the dispatcher stops and marks every
+// undispatched unit skipped: merge still sees each unit exactly once,
+// and never blocks on a body that will not run. Nothing here depends on
+// scheduling, so a run whose units are pure functions of their index
+// merges identically at any maxProcs.
+func runUnits(ctx context.Context, n, maxProcs int, launch func(i int) func(workerSlots), merge func(i int, skipped bool)) {
+	procs := max(1, min(maxProcs, n))
+	// The window's slack over procs lets finished units await their
+	// merge turn without idling workers behind a slow head unit.
+	window := make(chan struct{}, procs+2)
+	slots := make(workerSlots, procs)
+	done := make([]chan struct{}, n)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	skipped := make([]bool, n)
+
+	go func() {
+		for i := 0; i < n; i++ {
+			select {
+			case window <- struct{}{}:
+			case <-ctx.Done():
+				for ; i < n; i++ {
+					skipped[i] = true
+					close(done[i])
+				}
+				return
+			}
+			body := launch(i)
+			go func() {
+				defer close(done[i])
+				body(slots)
+			}()
+		}
+	}()
+
+	for i := 0; i < n; i++ {
+		<-done[i]
+		merge(i, skipped[i])
+		if !skipped[i] {
+			<-window
+		}
+	}
+}
+
+// unitTelemetry is one unit's telemetry frame (WithRunReport): its
+// registry plus the wall/sim-time frame its report section needs. The
+// body fills it; it reaches the merger over the unit's done edge, and
+// the merger owns it from then on.
+type unitTelemetry struct {
+	reg     *obs.Registry
+	start   time.Time
+	simEnd  time.Duration
+	wallMS  float64
+	devices int
+}
+
+// beginUnit opens unit i's registry, when the run reports telemetry.
+func (r *Runner) beginUnit(t *unitTelemetry, i, devices int) {
+	if !r.set.report {
+		return
+	}
+	t.reg = obs.NewRegistry()
+	t.reg.Trace(obs.TraceShardStart, 0, uint32(i))
+	t.devices = devices
+	t.start = obs.Now()
+}
+
+// finish records the unit's final virtual time (s may be nil when no
+// simulator was built) and its wall clock.
+func (t *unitTelemetry) finish(s *Sim) {
+	if t.reg == nil {
+		return
+	}
+	if s != nil {
+		t.simEnd = time.Duration(s.Now())
+	}
+	t.wallMS = float64(obs.Since(t.start)) / 1e6
+}
+
+// unitSections assembles a run's report sections. The merge adds units
+// strictly in unit order, so sections and totals are identical at any
+// worker count.
+type unitSections struct {
+	shards []ShardReport
+	snaps  []*obs.Snapshot
+}
+
+// add turns unit i's telemetry into its report section, stamping the
+// merge marker first; units without a registry add nothing.
+func (u *unitSections) add(i int, t *unitTelemetry) {
+	if t.reg == nil {
+		return
+	}
+	t.reg.Trace(obs.TraceShardMerge, t.simEnd, uint32(i))
+	snap := t.reg.Snapshot()
+	u.snaps = append(u.snaps, snap)
+	u.shards = append(u.shards, ShardReport{
+		Index:    i,
+		Devices:  t.devices,
+		SimEndNS: int64(t.simEnd),
+		WallMS:   t.wallMS,
+		Metrics:  metricsFromSnapshot(snap),
+		Trace:    traceEntries(snap.Trace),
+	})
+}
+
+// report builds the run report from the sections added so far.
+func (u *unitSections) report(fleet bool, devices int) *RunReport {
+	shards := u.shards
+	if shards == nil {
+		shards = []ShardReport{} // a run without sections reports [], not null
+	}
+	return &RunReport{
+		Fleet:   fleet,
+		Devices: devices,
+		Shards:  shards,
+		Totals:  metricsFromSnapshot(obs.Merge(u.snaps...)),
+	}
 }
 
 // resolveIDs looks up, trims and deduplicates a requested id list.
@@ -433,12 +554,12 @@ var ErrNotFleetCapable = errors.New("experiment has no population sweep")
 
 // runFleet executes experiments against a synthetic device fleet: n
 // profiles sampled from the paper's population distributions, split
-// across k shard testbeds. Execution is shard-major: each shard is
-// built, swept by every experiment in run order, reduced to population
-// points and released, with up to WithMaxProcs shards in flight at
-// once. Every shard is an independent virtual time domain and the
-// merge consumes shards strictly in shard order, so the output —
-// rendered figures and the WithDeviceResults stream alike — is
+// across k shard testbeds. Execution is shard-major: each shard is a
+// runUnits unit, built, swept by every experiment in run order,
+// reduced to population points and released, with up to WithMaxProcs
+// shards in flight at once. Every shard is an independent virtual time
+// domain and the merge consumes shards strictly in shard order, so the
+// output — rendered figures and the WithDeviceResults stream alike — is
 // byte-identical at any worker count (DESIGN.md §12).
 func (r *Runner) runFleet(ctx context.Context, ids []string) (Results, error) {
 	if len(ids) == 0 {
@@ -458,18 +579,13 @@ func (r *Runner) runFleet(ctx context.Context, ids []string) (Results, error) {
 	for i, e := range exps {
 		r.emit(Progress{ID: e.ID, Index: i, Total: total})
 	}
-	var runStart time.Time
-	if r.set.report {
-		runStart = obs.Now()
-	}
+	runStart := obs.Now()
 	pts, rep, sweepErr := r.sweepShards(ctx, exps)
 	if rep != nil {
 		// Failed or cancelled sweeps return no report: a partial one
 		// would not satisfy the determinism contract the report
 		// documents.
-		rep.WallMS = float64(obs.Since(runStart)) / 1e6
-		rep.Process = processStats()
-		r.finishReport(rep)
+		r.finishReport(rep, runStart)
 	}
 
 	out := make(Results, 0, total)
@@ -495,27 +611,15 @@ func (r *Runner) runFleet(ctx context.Context, ids []string) (Results, error) {
 	return out, runError(exps, errs)
 }
 
-// shardBatch is one shard's completed output, handed from its worker
+// shardBatch is one shard's completed output, handed from its unit body
 // to the in-order merge: per-experiment population points (device
 // order) plus, when a device callback is installed, the raw rows its
-// events replay. skipped marks shards the dispatcher abandoned after
-// cancellation, for which no window token was taken.
-//
-// When telemetry is on (WithRunReport), the batch also carries the
-// shard's registry plus the wall/sim-time frame the report needs. The
-// registry rides the same happens-before edge as the points (the
-// done-channel close), so the merger reads it race-free; the merger
-// stamps the TraceShardMerge event itself — it is the registry's owner
-// from that point on.
+// events replay, and the shard's telemetry frame.
 type shardBatch struct {
-	pts     [][]stats.DevicePoint
-	rows    [][]DeviceResult
-	reg     *obs.Registry
-	simEnd  time.Duration
-	wallMS  float64
-	devices int
-	err     error
-	skipped bool
+	pts  [][]stats.DevicePoint
+	rows [][]DeviceResult
+	tel  unitTelemetry
+	err  error
 	// memo marks a batch replayed from the memo store; blob is an
 	// executed shard's encoded rows, handed to the merger so only
 	// shards that reach a successful merge populate the store.
@@ -523,52 +627,27 @@ type shardBatch struct {
 	blob []byte
 }
 
-// sweepShards streams every fleet shard through the bounded pipeline
-// and returns, per experiment, the concatenation of all shards'
-// population points in shard order.
+// sweepShards runs every fleet shard as a runUnits unit and returns,
+// per experiment, the concatenation of all shards' population points in
+// shard order.
 //
-// Three goroutine roles cooperate:
-//
-//   - the dispatcher walks shards in index order, draws each shard's
-//     profile chunk from one sequential gateway.SynthStream (chunking
-//     does not perturb the stream, so the fleet population is never
-//     materialized whole), and launches one worker per shard after
-//     taking a window token;
-//   - workers — at most maxProcs executing — build their shard, sweep
-//     every experiment on it sequentially, reduce the device rows to
-//     points and publish a shardBatch;
-//   - the calling goroutine merges batches strictly in shard index
-//     order, emits device events, accumulates points and returns the
-//     shard's window token. The token return is what bounds resident
-//     shards — the run's memory budget — to the window, a small
-//     constant over maxProcs.
+// The dispatcher draws each shard's profile chunk from one sequential
+// gateway.SynthStream as it launches the shard (chunking does not
+// perturb the stream, so the fleet population is never materialized
+// whole). A shard body builds its testbed, sweeps every experiment on
+// it sequentially and reduces the device rows to points; a memo hit
+// instead replays recorded rows without taking a worker slot. The
+// merge emits device events and accumulates points and report
+// sections in shard order.
 //
 // Seed derivations, the profile stream and the merge order depend only
 // on (settings, shard index), never on scheduling, so the returned
 // points are identical at any maxProcs — and so is the returned
-// telemetry report (nil unless WithRunReport), whose shard sections
-// and merged totals are assembled in the same strict shard order.
+// telemetry report (nil unless WithRunReport).
 func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats.DevicePoint, *RunReport, error) {
 	bounds := testbed.Partition(r.set.fleet, r.set.shards)
 	n := len(bounds) - 1
-	procs := r.set.maxProcs
-	if procs > n {
-		procs = n
-	}
-	if procs < 1 {
-		procs = 1
-	}
-	// The window's slack over procs lets finished shards await their
-	// merge turn without idling workers behind a slow head shard.
-	window := procs + 2
-
 	batches := make([]shardBatch, n)
-	done := make([]chan struct{}, n)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	winSem := make(chan struct{}, window)
-	procSem := make(chan struct{}, procs)
 
 	// With a memo store attached, every shard's content address is
 	// known up front: keys depend only on (settings, shard index,
@@ -581,13 +660,12 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 		}
 	}
 
-	work := func(i int, profiles []gateway.Profile) {
+	work := func(i int, profiles []gateway.Profile, w workerSlots) {
 		b := &batches[i]
 		// curExp names the experiment the sweep loop is executing, so a
 		// recovered panic is attributable (ShardError) instead of the
 		// historical anonymous "shard N: panic".
 		var curExp string
-		defer close(done[i])
 		defer func() {
 			if p := recover(); p != nil {
 				// Salvage the points of the experiments this shard did
@@ -621,7 +699,7 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 					if r.set.deviceCB != nil {
 						b.rows = rows
 					}
-					b.devices = len(profiles)
+					b.tel.devices = len(profiles)
 					b.memo = true
 					return
 				}
@@ -629,19 +707,13 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 				// build) is a miss: fall through, re-execute, re-record.
 			}
 		}
-		procSem <- struct{}{}
-		defer func() { <-procSem }()
+		w.acquire()
+		defer w.release()
 		if err := ctx.Err(); err != nil {
 			b.err = err
 			return
 		}
-		var start time.Time
-		if r.set.report {
-			b.reg = obs.NewRegistry()
-			b.reg.Trace(obs.TraceShardStart, 0, uint32(i))
-			b.devices = len(profiles)
-			start = obs.Now()
-		}
+		r.beginUnit(&b.tel, i, len(profiles))
 		r.emit(Progress{Kind: ProgressShard, Shard: i, Index: i, Total: n})
 		// The live-shard gauge brackets the shard's whole life: Up
 		// before the build, Down (deferred) after the deferred
@@ -649,7 +721,7 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 		// goroutine-leak tripwire test asserts returns to baseline.
 		obs.Proc.ShardUp()
 		defer obs.Proc.ShardDown()
-		sh, err := testbed.BuildShard(profiles, i, bounds[i], r.set.seed, b.reg)
+		sh, err := testbed.BuildShard(profiles, i, bounds[i], r.set.seed, b.tel.reg)
 		if err != nil {
 			b.err = err
 			return
@@ -709,110 +781,69 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 				b.blob = blob
 			}
 		}
-		if r.set.report {
-			b.simEnd = time.Duration(sh.Sim.Now())
-			b.wallMS = float64(obs.Since(start)) / 1e6
-		}
+		b.tel.finish(sh.Sim)
 	}
 
-	// Dispatcher: in-order shard launch under the window bound.
-	go func() {
-		stream := gateway.NewSynthStream(r.set.seed)
-		for i := 0; i < n; i++ {
-			select {
-			case winSem <- struct{}{}:
-			case <-ctx.Done():
-				// Mark every undispatched shard so the merge loop
-				// below never blocks on a worker that will not run.
-				for ; i < n; i++ {
-					batches[i].err = ctx.Err()
-					batches[i].skipped = true
-					close(done[i])
-				}
-				return
-			}
-			go work(i, stream.Next(bounds[i+1]-bounds[i]))
-		}
-	}()
-
-	// Merge: strictly ascending shard order.
+	stream := gateway.NewSynthStream(r.set.seed)
 	pts := make([][]stats.DevicePoint, len(exps))
-	var shardSnaps []*obs.Snapshot
-	var shardReps []ShardReport
+	var sections unitSections
 	var firstErr error
-	for i := 0; i < n; i++ {
-		<-done[i]
-		b := &batches[i]
-		if firstErr == nil {
-			firstErr = b.err
-		}
-		if firstErr == nil {
-			for j, e := range exps {
-				if b.rows != nil {
-					for _, dr := range b.rows[j] {
-						r.emitDevice(DeviceEvent{ExperimentID: e.ID, Shard: i, Result: dr})
+	runUnits(ctx, n, r.set.maxProcs,
+		func(i int) func(workerSlots) {
+			profiles := stream.Next(bounds[i+1] - bounds[i])
+			return func(w workerSlots) { work(i, profiles, w) }
+		},
+		func(i int, skipped bool) {
+			b := &batches[i]
+			if skipped {
+				b.err = ctx.Err()
+			}
+			if firstErr == nil {
+				firstErr = b.err
+			}
+			if firstErr == nil {
+				for j, e := range exps {
+					if b.rows != nil {
+						for _, dr := range b.rows[j] {
+							r.emitDevice(DeviceEvent{ExperimentID: e.ID, Shard: i, Result: dr})
+						}
 					}
+					pts[j] = append(pts[j], b.pts[j]...)
 				}
-				pts[j] = append(pts[j], b.pts[j]...)
+				if b.blob != nil {
+					// Populate from the merge boundary: this shard executed
+					// fully and its rows are now part of the run's output.
+					r.set.memo.Put(memoKeys[i], b.blob)
+				}
+				if b.memo && r.set.report {
+					// A memoized shard ran no simulator: its section
+					// records the replay, carrying no metrics or trace.
+					sections.shards = append(sections.shards, ShardReport{
+						Index:    i,
+						Devices:  b.tel.devices,
+						Memoized: true,
+					})
+				}
+				sections.add(i, &b.tel)
 			}
-			if b.blob != nil && memoKeys != nil {
-				// Populate from the merge boundary: this shard executed
-				// fully and its rows are now part of the run's output.
-				r.set.memo.Put(memoKeys[i], b.blob)
+			if !skipped {
+				r.emit(Progress{Kind: ProgressShard, Shard: i, Index: i, Total: n, Done: true, Err: b.err})
 			}
-			if b.reg != nil {
-				// The worker is done with the registry (done[i] is
-				// closed); the merger owns it now and stamps the
-				// merge marker before snapshotting.
-				b.reg.Trace(obs.TraceShardMerge, b.simEnd, uint32(i))
-				snap := b.reg.Snapshot()
-				shardSnaps = append(shardSnaps, snap)
-				shardReps = append(shardReps, ShardReport{
-					Index:    i,
-					Devices:  b.devices,
-					SimEndNS: int64(b.simEnd),
-					WallMS:   b.wallMS,
-					Metrics:  metricsFromSnapshot(snap),
-					Trace:    traceEntries(snap.Trace),
-				})
-			} else if b.memo && r.set.report {
-				// A memoized shard ran no simulator: its section records
-				// the replay, carrying no metrics or trace.
-				shardReps = append(shardReps, ShardReport{
-					Index:    i,
-					Devices:  b.devices,
-					Memoized: true,
-				})
-			}
-		}
-		skipped := b.skipped
-		if !skipped {
-			r.emit(Progress{Kind: ProgressShard, Shard: i, Index: i, Total: n, Done: true, Err: b.err})
-		}
-		// Drop the batch before returning its token: the token lets
-		// the dispatcher admit another shard, so this shard's rows
-		// must already be collectable.
-		*b = shardBatch{}
-		if !skipped {
-			<-winSem
-		}
-	}
+			// Drop the batch before runUnits returns its token: the
+			// token lets the dispatcher admit another shard, so this
+			// shard's rows must already be collectable.
+			*b = shardBatch{}
+		})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	if firstErr != nil {
 		return nil, nil, firstErr
 	}
-	var rep *RunReport
-	if r.set.report {
-		rep = &RunReport{
-			Fleet:   true,
-			Devices: r.set.fleet,
-			Shards:  shardReps,
-			Totals:  metricsFromSnapshot(obs.Merge(shardSnaps...)),
-		}
+	if !r.set.report {
+		return pts, nil, nil
 	}
-	return pts, rep, nil
+	return pts, sections.report(true, r.set.fleet), nil
 }
 
 // installFaults compiles the run's fault plan for one fleet shard (or

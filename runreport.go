@@ -12,9 +12,10 @@ import (
 	"hgw/internal/obs"
 )
 
-// A RunReport is the telemetry side-channel of one Run: per-shard (or,
-// for inventory runs, per-lane) metric sections plus a deterministic
-// merged total and a handful of process-wide diagnostics. Reports
+// A RunReport is the telemetry side-channel of one Run: one metric
+// section per unit of the run's partition — fleet shard or inventory
+// lane — plus a deterministic merged total and a handful of
+// process-wide diagnostics. Reports
 // observe a run without influencing it — CacheKey ignores
 // WithRunReport, and the instrumented packages only ever write their
 // registries (obslint) — so requesting a report never changes what the
@@ -24,12 +25,15 @@ import (
 // levels) and the Process section is a pure function of the run's
 // settings: Canonical() strips exactly those fields, and the
 // determinism suite asserts canonical reports are byte-identical at
-// any worker count.
+// any worker count: sections come from the partition (WithShards or
+// WithParallelism), never from the worker count (WithMaxProcs).
 type RunReport struct {
 	// Fleet is true for WithFleet runs; Shards then holds one section
 	// per fleet shard. Inventory runs report one section per
 	// shared-testbed lane instead (standalone experiments build
-	// private testbeds and are not sectioned).
+	// private testbeds and are not sectioned). Both kinds of section
+	// are built by the same per-unit code, and each executed section's
+	// trace is bracketed by shard_start and shard_merge markers.
 	Fleet bool `json:"fleet"`
 	// Devices is the fleet population (0 for inventory runs).
 	Devices int `json:"devices,omitempty"`
@@ -50,7 +54,8 @@ type RunReport struct {
 }
 
 // ShardReport is one fleet shard's (or inventory lane's) telemetry
-// section.
+// section: the registry of one unit of the run's partition, whichever
+// worker executed it.
 type ShardReport struct {
 	// Index is the shard index (fleet) or lane index (inventory).
 	Index int `json:"index"`
