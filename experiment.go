@@ -3,10 +3,10 @@ package hgw
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hgw/internal/gateway"
 	"hgw/internal/probe"
@@ -55,13 +55,16 @@ type Experiment struct {
 // Env is the execution environment the Runner hands to an experiment:
 // the run's device selection, seed and probe options, plus the shared
 // testbed (nil for Standalone experiments, which build their own from
-// Tags and Seed).
+// Tags and Seed), and the run's worker count (WithMaxProcs): an
+// experiment that fans work out runs at most MaxProcs goroutines (one
+// when MaxProcs < 1).
 type Env struct {
-	Tags    []string
-	Seed    int64
-	Options Options
-	Testbed *Testbed
-	Sim     *Sim
+	Tags     []string
+	Seed     int64
+	Options  Options
+	Testbed  *Testbed
+	Sim      *Sim
+	MaxProcs int
 }
 
 // result wraps an experiment's output in the uniform envelope.
@@ -383,6 +386,10 @@ func newThroughputExperiment() *Experiment {
 	return e
 }
 
+// measureDevice is tcp2's per-device measurement. It is a variable so
+// tests can observe how the measurements are scheduled.
+var measureDevice = probe.MeasureThroughputInterruptible
+
 func measureThroughputAll(ctx context.Context, env *Env) ([]Throughput, error) {
 	tags := env.Tags
 	if len(tags) == 0 {
@@ -397,19 +404,21 @@ func measureThroughputAll(ctx context.Context, env *Env) ([]Throughput, error) {
 	}
 	interrupt := func() bool { return ctx.Err() != nil }
 	results := make([]Throughput, len(tags))
-	sem := make(chan struct{}, runtime.NumCPU())
+	// Each device is an independent simulation; workers claim them in
+	// order and write only their own row.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, tag := range tags {
-		i, tag := i, tag
+	for range max(1, min(env.MaxProcs, len(tags))) {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(tags) || ctx.Err() != nil {
+					return
+				}
+				results[i] = measureDevice(tags[i], env.Options, env.Seed, interrupt)
 			}
-			results[i] = probe.MeasureThroughputInterruptible(tag, env.Options, env.Seed, interrupt)
 		}()
 	}
 	wg.Wait()

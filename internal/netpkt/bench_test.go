@@ -1,6 +1,7 @@
 package netpkt
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -113,3 +114,22 @@ func BenchmarkTransportChecksum(b *testing.B) {
 		TransportChecksum(benchSrc, benchDst, ProtoTCP, seg)
 	}
 }
+
+// BenchmarkChecksum sums an IPv4 header (20), a header pair (40), a
+// full-MSS TCP payload (1460) and an odd length past one MTU (1501):
+// every packet pays the sum at marshal and again at verify.
+func BenchmarkChecksum(b *testing.B) {
+	for _, n := range []int{20, 40, 1460, 1501} {
+		buf := benchPayload(n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				checksumSink = Checksum(buf)
+			}
+		})
+	}
+}
+
+// checksumSink keeps BenchmarkChecksum's sums live.
+var checksumSink uint16

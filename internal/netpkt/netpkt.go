@@ -12,6 +12,7 @@ package netpkt
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -102,17 +103,41 @@ func (f *Frame) Clone() *Frame {
 	return g
 }
 
-// checksumAdd folds the bytes of b into a running 32-bit one's-
-// complement accumulator (an odd trailing byte is padded with zero).
+// checksumAdd adds the bytes of b, as big-endian 16-bit words (an odd
+// trailing byte is padded with zero), to the one's-complement
+// accumulator sum. It sums 64-bit words with end-around carry: 2^64−1
+// is a multiple of 0xffff, so that folds to the same 16-bit sum as
+// adding 16 bits a step (RFC 1071 §2).
+//
+// The result is only meaningful folded: it is congruent to the 16-bit
+// sum modulo 0xffff and zero only when sum and b are all zero, but it
+// may take any 32-bit value. Callers must pass it straight to
+// checksumFold, never add to it.
 func checksumAdd(sum uint32, b []byte) uint32 {
-	i := 0
-	for ; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
+	acc, c := uint64(sum), uint64(0)
+	for ; len(b) >= 32; b = b[32:] {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[0:8]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[8:16]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[16:24]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[24:32]), c)
 	}
-	if i < len(b) {
-		sum += uint32(b[i]) << 8
+	for ; len(b) >= 8; b = b[8:] {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
 	}
-	return sum
+	// Under 8 bytes remain: at most three words and a byte, which
+	// cannot overflow a uint64.
+	var tail uint64
+	for ; len(b) >= 2; b = b[2:] {
+		tail += uint64(binary.BigEndian.Uint16(b))
+	}
+	if len(b) == 1 {
+		tail += uint64(b[0]) << 8
+	}
+	acc, c = bits.Add64(acc, tail, c)
+	acc += c // cannot carry again: after a carry out, acc <= tail
+	hi, lo := uint32(acc>>32), uint32(acc)
+	lo, c32 := bits.Add32(lo, hi, 0)
+	return lo + c32
 }
 
 // checksumFold reduces a 32-bit accumulator to 16 bits with end-around

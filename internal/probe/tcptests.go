@@ -216,10 +216,9 @@ func oneTransfer(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, up bool, tot
 		// sender-side queueing — exactly like the paper's 100 MB writes
 		// through a kernel socket buffer.
 		const sndBuf = 60 * 1024
+		full := func() bool { return c.Buffered() > sndBuf }
 		for sent := 0; sent < total; sent += blockSize {
-			for c.Buffered() > sndBuf {
-				sp.Sleep(200 * time.Microsecond)
-			}
+			sp.SleepWhile(200*time.Microsecond, full)
 			binary.BigEndian.PutUint64(block[:8], uint64(sp.Now()))
 			if err := c.Write(sp, block); err != nil {
 				return

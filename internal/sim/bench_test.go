@@ -59,3 +59,37 @@ func BenchmarkTimerRefresh(b *testing.B) {
 		s.Run(0)
 	}
 }
+
+// benchmarkPoll measures one poll period of a process waiting on a
+// condition that stays true: a timer event and a re-check per op.
+func benchmarkPoll(b *testing.B, wait func(p *Proc, busy func() bool)) {
+	const d = 200 * time.Microsecond
+	s := New(1)
+	busy := true
+	s.Spawn("poller", func(p *Proc) { wait(p, func() bool { return busy }) })
+	s.Run(d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Run(s.Now() + d)
+	}
+	b.StopTimer()
+	busy = false
+	s.Run(0)
+}
+
+// BenchmarkSleepLoop is polling as `for busy() { p.Sleep(d) }`: every
+// period resumes the process goroutine to re-check.
+func BenchmarkSleepLoop(b *testing.B) {
+	benchmarkPoll(b, func(p *Proc, busy func() bool) {
+		for busy() {
+			p.Sleep(200 * time.Microsecond)
+		}
+	})
+}
+
+// BenchmarkSleepWhile is the same wait through SleepWhile: the
+// re-check runs in scheduler context and the goroutine stays parked.
+func BenchmarkSleepWhile(b *testing.B) {
+	benchmarkPoll(b, func(p *Proc, busy func() bool) { p.SleepWhile(200*time.Microsecond, busy) })
+}

@@ -360,9 +360,16 @@ type Proc struct {
 	wakeArmed bool
 	// handoffFn/wakeFn cache the method values scheduled on every wake
 	// and sleep, so the per-event closure allocation happens once per
-	// process instead of once per park.
-	handoffFn func()
-	wakeFn    func()
+	// process instead of once per park. pollTickFn/pollCheckFn do the
+	// same for SleepWhile's two events.
+	handoffFn   func()
+	wakeFn      func()
+	pollTickFn  func()
+	pollCheckFn func()
+	// pollBusy and pollEvery are the condition and period of the
+	// SleepWhile wait in progress (nil/0 otherwise).
+	pollBusy  func() bool
+	pollEvery time.Duration
 }
 
 // Name returns the name given to Spawn.
@@ -380,6 +387,8 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{s: s, name: name, resume: make(chan struct{})}
 	p.handoffFn = p.handoff
 	p.wakeFn = p.scheduleWake
+	p.pollTickFn = p.pollTick
+	p.pollCheckFn = p.pollCheck
 	s.procs++
 	s.obs.Inc(obs.CSimProcsSpawned)
 	s.all = append(s.all, p)
@@ -506,6 +515,58 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	p.s.After(d, p.wakeFn)
 	p.park()
+}
+
+// SleepWhile suspends the process while busy reports true, checking it
+// every d of virtual time. It is the way to poll a condition: it
+// schedules exactly the events of
+//
+//	for busy() {
+//		p.Sleep(d)
+//	}
+//
+// and evaluates busy at the same points of the event order, but the
+// re-checks run in scheduler context, so the process goroutine is
+// resumed once when busy turns false instead of once per poll. busy
+// must therefore only read simulation state: it must not block, spawn,
+// or schedule. A d <= 0 runs the loop above.
+func (p *Proc) SleepWhile(d time.Duration, busy func() bool) {
+	if d <= 0 {
+		for busy() {
+			p.Sleep(d)
+		}
+		return
+	}
+	if !busy() {
+		return
+	}
+	p.pollBusy, p.pollEvery = busy, d
+	p.s.After(d, p.pollTickFn)
+	p.park()
+	p.pollBusy = nil
+}
+
+// pollTick is SleepWhile's timer: it mirrors scheduleWake, queueing the
+// check at the current instant exactly where the wake would queue the
+// handoff.
+func (p *Proc) pollTick() {
+	if !p.wakeArmed || p.exited || p.s.killing {
+		return
+	}
+	p.wakeArmed = false
+	p.s.At(p.s.now, p.pollCheckFn)
+}
+
+// pollCheck runs where the woken process would re-evaluate its loop
+// condition: still busy re-arms the timer as the process's next Sleep
+// would; otherwise the process resumes.
+func (p *Proc) pollCheck() {
+	if p.pollBusy() {
+		p.wakeArmed = true
+		p.s.After(p.pollEvery, p.pollTickFn)
+		return
+	}
+	p.handoff()
 }
 
 // Join blocks until q exits. Joining an already-exited process returns

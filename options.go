@@ -199,8 +199,9 @@ func WithParallelism(n int) Option {
 
 // WithMaxProcs sets the worker count for both run modes: at most n
 // units — fleet shards, or inventory lanes and Standalone experiments —
-// execute at once (default: runtime.NumCPU; values below 1 select the
-// default). Unlike WithParallelism and WithShards, maxProcs is a pure
+// execute at once, and tcp2 measures at most n devices at once
+// (default: runtime.NumCPU; values below 1 select the default).
+// Unlike WithParallelism and WithShards, maxProcs is a pure
 // throughput knob with no reproducibility weight: every unit is an
 // independent virtual time domain whose inputs depend only on the
 // run's settings and the unit index, and the merge consumes units in

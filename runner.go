@@ -349,7 +349,8 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 				done(i, err)
 				continue
 			}
-			runOne(i, &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts, Testbed: tb, Sim: s})
+			runOne(i, &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts, Testbed: tb, Sim: s,
+				MaxProcs: r.set.maxProcs})
 		}
 	}
 
