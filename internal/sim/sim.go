@@ -360,16 +360,21 @@ type Proc struct {
 	wakeArmed bool
 	// handoffFn/wakeFn cache the method values scheduled on every wake
 	// and sleep, so the per-event closure allocation happens once per
-	// process instead of once per park. pollTickFn/pollCheckFn do the
-	// same for SleepWhile's two events.
-	handoffFn   func()
-	wakeFn      func()
-	pollTickFn  func()
-	pollCheckFn func()
-	// pollBusy and pollEvery are the condition and period of the
-	// SleepWhile wait in progress (nil/0 otherwise).
-	pollBusy  func() bool
-	pollEvery time.Duration
+	// process instead of once per park.
+	handoffFn func()
+	wakeFn    func()
+	// poll is made on the process's first SleepWhile: few processes
+	// ever poll, so Spawn does not pay for it.
+	poll *pollState
+}
+
+// pollState is a process's SleepWhile state: the condition and period
+// of the wait in progress, and the cached method values of its two
+// events.
+type pollState struct {
+	busy            func() bool
+	every           time.Duration
+	tickFn, checkFn func()
 }
 
 // Name returns the name given to Spawn.
@@ -387,8 +392,6 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{s: s, name: name, resume: make(chan struct{})}
 	p.handoffFn = p.handoff
 	p.wakeFn = p.scheduleWake
-	p.pollTickFn = p.pollTick
-	p.pollCheckFn = p.pollCheck
 	s.procs++
 	s.obs.Inc(obs.CSimProcsSpawned)
 	s.all = append(s.all, p)
@@ -529,21 +532,20 @@ func (p *Proc) Sleep(d time.Duration) {
 // re-checks run in scheduler context, so the process goroutine is
 // resumed once when busy turns false instead of once per poll. busy
 // must therefore only read simulation state: it must not block, spawn,
-// or schedule. A d <= 0 runs the loop above.
+// or schedule. A d <= 0 polls at the current instant, after the events
+// already queued there, as Sleep(0) yields.
 func (p *Proc) SleepWhile(d time.Duration, busy func() bool) {
-	if d <= 0 {
-		for busy() {
-			p.Sleep(d)
-		}
-		return
-	}
 	if !busy() {
 		return
 	}
-	p.pollBusy, p.pollEvery = busy, d
-	p.s.After(d, p.pollTickFn)
+	if p.poll == nil {
+		p.poll = &pollState{}
+		p.poll.tickFn, p.poll.checkFn = p.pollTick, p.pollCheck
+	}
+	p.poll.busy, p.poll.every = busy, d
+	p.s.After(d, p.poll.tickFn)
 	p.park()
-	p.pollBusy = nil
+	p.poll.busy = nil
 }
 
 // pollTick is SleepWhile's timer: it mirrors scheduleWake, queueing the
@@ -554,16 +556,16 @@ func (p *Proc) pollTick() {
 		return
 	}
 	p.wakeArmed = false
-	p.s.At(p.s.now, p.pollCheckFn)
+	p.s.At(p.s.now, p.poll.checkFn)
 }
 
 // pollCheck runs where the woken process would re-evaluate its loop
 // condition: still busy re-arms the timer as the process's next Sleep
 // would; otherwise the process resumes.
 func (p *Proc) pollCheck() {
-	if p.pollBusy() {
+	if p.poll.busy() {
 		p.wakeArmed = true
-		p.s.After(p.pollEvery, p.pollTickFn)
+		p.s.After(p.poll.every, p.poll.tickFn)
 		return
 	}
 	p.handoff()

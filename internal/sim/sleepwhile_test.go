@@ -43,24 +43,18 @@ func sleepLoop(p *Proc, d time.Duration, busy func() bool) {
 }
 
 // runPollScenario runs one process that waits three times for the
-// condition to clear, one period apart, while the flips drive it.
-func runPollScenario(seed int64, flips []pollFlip, wait func(p *Proc, d time.Duration, busy func() bool)) pollRun {
+// condition to clear, polling every d and sleeping one period between
+// waits, while the events drive queues set the condition.
+func runPollScenario(seed int64, d time.Duration, drive func(s *Sim, set func(busy bool)), wait func(p *Proc, d time.Duration, busy func() bool)) pollRun {
 	s := New(seed)
 	reg := obs.NewRegistry()
 	s.SetObs(reg)
 	var r pollRun
 	state := true
-	for _, f := range flips {
-		set := func() {
-			state = f.busy
-			r.trace = append(r.trace, fmt.Sprintf("%v set %v", s.Now(), f.busy))
-		}
-		if f.late {
-			s.At(f.at-pollEvery/2, func() { s.At(f.at, set) })
-		} else {
-			s.At(f.at, set)
-		}
-	}
+	drive(s, func(busy bool) {
+		state = busy
+		r.trace = append(r.trace, fmt.Sprintf("%v set %v", s.Now(), busy))
+	})
 	// A canceled timer, so the canceled counter is compared too.
 	ev := s.At(time.Second, func() {})
 	s.At(pollEvery, ev.Cancel)
@@ -73,7 +67,7 @@ func runPollScenario(seed int64, flips []pollFlip, wait func(p *Proc, d time.Dur
 	}
 	s.Spawn("poller", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			wait(p, pollEvery, busy)
+			wait(p, d, busy)
 			r.wakes = append(r.wakes, p.Now())
 			r.trace = append(r.trace, fmt.Sprintf("%v wake", p.Now()))
 			p.Sleep(pollEvery)
@@ -85,6 +79,45 @@ func runPollScenario(seed int64, flips []pollFlip, wait func(p *Proc, d time.Dur
 		snap.Counters[obs.CSimEventsFired], snap.Counters[obs.CSimEventsCanceled]}
 	r.seq = s.seq
 	return r
+}
+
+// flipDriver queues the flips: a late flip from an event half a period
+// before it, the others at setup.
+func flipDriver(flips []pollFlip) func(s *Sim, set func(bool)) {
+	return func(s *Sim, set func(bool)) {
+		for _, f := range flips {
+			flip := func() { set(f.busy) }
+			if f.late {
+				s.At(f.at-pollEvery/2, func() { s.At(f.at, flip) })
+			} else {
+				s.At(f.at, flip)
+			}
+		}
+	}
+}
+
+// yieldDriver keeps the condition set at each of the three wait
+// instants until a chain of same-instant events clears it, so a wait
+// polling with d <= 0 ends at the instant it began, its polls
+// interleaved with the chain by seq.
+func yieldDriver(s *Sim, set func(bool)) {
+	for i, n := range []int{3, 1, 4} {
+		at := Time(i) * pollEvery
+		left := n
+		var step func()
+		step = func() {
+			if left--; left > 0 {
+				set(true)
+				s.At(at, step)
+				return
+			}
+			set(false)
+		}
+		s.At(at, func() {
+			set(true)
+			s.At(at, step)
+		})
+	}
 }
 
 // randomFlips draws flips between poll instants and exactly at them,
@@ -151,19 +184,32 @@ func TestSleepWhileMatchesSleepLoop(t *testing.T) {
 		{at: 6*pollEvery + pollEvery/2, busy: true},
 		{at: 9 * pollEvery, busy: false},
 	}
-	loop := runPollScenario(1, tie, sleepLoop)
+	loop := runPollScenario(1, pollEvery, flipDriver(tie), sleepLoop)
 	if want := []Time{3 * pollEvery, 6 * pollEvery, 9 * pollEvery}; !slices.Equal(loop.wakes, want) {
 		t.Fatalf("Sleep loop wakes %v, want %v", loop.wakes, want)
 	}
-	comparePollRuns(t, "tie", loop, runPollScenario(1, tie, sleepWhile))
+	comparePollRuns(t, "tie", loop, runPollScenario(1, pollEvery, flipDriver(tie), sleepWhile))
 
 	for seed := int64(1); seed <= 20; seed++ {
-		flips := randomFlips(rand.New(rand.NewSource(seed)))
-		loop := runPollScenario(seed, flips, sleepLoop)
+		drive := flipDriver(randomFlips(rand.New(rand.NewSource(seed))))
+		loop := runPollScenario(seed, pollEvery, drive, sleepLoop)
 		if loop.procPolls <= len(loop.wakes) {
 			t.Fatalf("seed %d: the Sleep loop never polled twice; the scenario exercises nothing", seed)
 		}
-		comparePollRuns(t, fmt.Sprintf("seed %d", seed), loop, runPollScenario(seed, flips, sleepWhile))
+		comparePollRuns(t, fmt.Sprintf("seed %d", seed), loop, runPollScenario(seed, pollEvery, drive, sleepWhile))
+	}
+
+	// A period of zero or less polls at the current instant, as
+	// Sleep(0) yields.
+	for _, d := range []time.Duration{0, -pollEvery} {
+		loop := runPollScenario(1, d, yieldDriver, sleepLoop)
+		if want := []Time{0, pollEvery, 2 * pollEvery}; !slices.Equal(loop.wakes, want) {
+			t.Fatalf("d=%v: Sleep loop wakes %v, want %v", d, loop.wakes, want)
+		}
+		if loop.procPolls <= len(loop.wakes) {
+			t.Fatalf("d=%v: the Sleep loop never polled twice; the scenario exercises nothing", d)
+		}
+		comparePollRuns(t, fmt.Sprintf("d=%v", d), loop, runPollScenario(1, d, yieldDriver, sleepWhile))
 	}
 }
 

@@ -209,7 +209,10 @@ func WithParallelism(n int) Option {
 // 64, and CacheKey ignores it. It also sets the run's memory budget:
 // at most maxProcs testbeds (plus a small pipeline window of finished
 // units) are resident at once, which is what lets
-// WithFleet(1_000_000) run in bounded memory.
+// WithFleet(1_000_000) run in bounded memory. The one exception is
+// tcp2: its unit holds a single worker slot while it measures up to n
+// devices, each on its own simulator, so beside other running units
+// it can add up to n-1 simulators beyond that bound.
 func WithMaxProcs(n int) Option {
 	return func(s *settings) { s.maxProcs = n }
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -109,35 +108,6 @@ func TestInventoryOneWorker(t *testing.T) {
 	for _, id := range poolIDs {
 		if dones[id] != 1 {
 			t.Errorf("experiment %s: %d Done events, want exactly 1", id, dones[id])
-		}
-	}
-}
-
-// TestThroughputWorkerCountInvariance checks that tcp2, which fans its
-// devices out over the run's workers, returns the same rows and
-// renders byte-identically at maxProcs 1, 2 and NumCPU.
-func TestThroughputWorkerCountInvariance(t *testing.T) {
-	var baseRows []hgw.Throughput
-	var baseRender string
-	for _, procs := range []int{1, 2, runtime.NumCPU()} {
-		results, err := hgw.Run(context.Background(), []string{"tcp2"}, hgw.WithSeed(5),
-			hgw.WithTags("je", "ls1", "owrt", "dl10"), hgw.WithTransferBytes(64<<10), hgw.WithMaxProcs(procs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := results.Get("tcp2").Throughputs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if baseRows == nil {
-			baseRows, baseRender = rows, results.Render()
-			continue
-		}
-		if !slices.Equal(rows, baseRows) {
-			t.Errorf("rows at maxProcs=%d differ from maxProcs=1:\n got %+v\nwant %+v", procs, rows, baseRows)
-		}
-		if render := results.Render(); render != baseRender {
-			t.Errorf("render at maxProcs=%d differs from maxProcs=1\n--- got ---\n%s\n--- want ---\n%s", procs, render, baseRender)
 		}
 	}
 }
