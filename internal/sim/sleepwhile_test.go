@@ -43,15 +43,15 @@ func sleepLoop(p *Proc, d time.Duration, busy func() bool) {
 }
 
 // runPollScenario runs one process that waits three times for the
-// condition to clear, polling every d and sleeping one period between
-// waits, while the events drive queues set the condition.
-func runPollScenario(seed int64, d time.Duration, drive func(s *Sim, set func(busy bool)), wait func(p *Proc, d time.Duration, busy func() bool)) pollRun {
+// waits, while the events that events queues set the condition.
+// waits, while the events queues set the condition.
+func runPollScenario(seed int64, d time.Duration, events func(s *Sim, set func(busy bool)), wait func(p *Proc, d time.Duration, busy func() bool)) pollRun {
 	s := New(seed)
 	reg := obs.NewRegistry()
 	s.SetObs(reg)
 	var r pollRun
 	state := true
-	drive(s, func(busy bool) {
+	events(s, func(busy bool) {
 		state = busy
 		r.trace = append(r.trace, fmt.Sprintf("%v set %v", s.Now(), busy))
 	})
@@ -81,9 +81,9 @@ func runPollScenario(seed int64, d time.Duration, drive func(s *Sim, set func(bu
 	return r
 }
 
-// flipDriver queues the flips: a late flip from an event half a period
+// flipEvents queues the flips: a late flip from an event half a period
 // before it, the others at setup.
-func flipDriver(flips []pollFlip) func(s *Sim, set func(bool)) {
+func flipEvents(flips []pollFlip) func(s *Sim, set func(bool)) {
 	return func(s *Sim, set func(bool)) {
 		for _, f := range flips {
 			flip := func() { set(f.busy) }
@@ -96,11 +96,11 @@ func flipDriver(flips []pollFlip) func(s *Sim, set func(bool)) {
 	}
 }
 
-// yieldDriver keeps the condition set at each of the three wait
+// yieldEvents keeps the condition set at each of the three wait
 // instants until a chain of same-instant events clears it, so a wait
 // polling with d <= 0 ends at the instant it began, its polls
 // interleaved with the chain by seq.
-func yieldDriver(s *Sim, set func(bool)) {
+func yieldEvents(s *Sim, set func(bool)) {
 	for i, n := range []int{3, 1, 4} {
 		at := Time(i) * pollEvery
 		left := n
@@ -184,32 +184,32 @@ func TestSleepWhileMatchesSleepLoop(t *testing.T) {
 		{at: 6*pollEvery + pollEvery/2, busy: true},
 		{at: 9 * pollEvery, busy: false},
 	}
-	loop := runPollScenario(1, pollEvery, flipDriver(tie), sleepLoop)
+	loop := runPollScenario(1, pollEvery, flipEvents(tie), sleepLoop)
 	if want := []Time{3 * pollEvery, 6 * pollEvery, 9 * pollEvery}; !slices.Equal(loop.wakes, want) {
 		t.Fatalf("Sleep loop wakes %v, want %v", loop.wakes, want)
 	}
-	comparePollRuns(t, "tie", loop, runPollScenario(1, pollEvery, flipDriver(tie), sleepWhile))
+	comparePollRuns(t, "tie", loop, runPollScenario(1, pollEvery, flipEvents(tie), sleepWhile))
 
 	for seed := int64(1); seed <= 20; seed++ {
-		drive := flipDriver(randomFlips(rand.New(rand.NewSource(seed))))
-		loop := runPollScenario(seed, pollEvery, drive, sleepLoop)
+		events := flipEvents(randomFlips(rand.New(rand.NewSource(seed))))
+		loop := runPollScenario(seed, pollEvery, events, sleepLoop)
 		if loop.procPolls <= len(loop.wakes) {
 			t.Fatalf("seed %d: the Sleep loop never polled twice; the scenario exercises nothing", seed)
 		}
-		comparePollRuns(t, fmt.Sprintf("seed %d", seed), loop, runPollScenario(seed, pollEvery, drive, sleepWhile))
+		comparePollRuns(t, fmt.Sprintf("seed %d", seed), loop, runPollScenario(seed, pollEvery, events, sleepWhile))
 	}
 
 	// A period of zero or less polls at the current instant, as
 	// Sleep(0) yields.
 	for _, d := range []time.Duration{0, -pollEvery} {
-		loop := runPollScenario(1, d, yieldDriver, sleepLoop)
+		loop := runPollScenario(1, d, yieldEvents, sleepLoop)
 		if want := []Time{0, pollEvery, 2 * pollEvery}; !slices.Equal(loop.wakes, want) {
 			t.Fatalf("d=%v: Sleep loop wakes %v, want %v", d, loop.wakes, want)
 		}
 		if loop.procPolls <= len(loop.wakes) {
 			t.Fatalf("d=%v: the Sleep loop never polled twice; the scenario exercises nothing", d)
 		}
-		comparePollRuns(t, fmt.Sprintf("d=%v", d), loop, runPollScenario(1, d, yieldDriver, sleepWhile))
+		comparePollRuns(t, fmt.Sprintf("d=%v", d), loop, runPollScenario(1, d, yieldEvents, sleepWhile))
 	}
 }
 
