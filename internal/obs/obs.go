@@ -39,7 +39,6 @@ const (
 	CSimEventsScheduled Counter = iota
 	CSimEventsFired
 	CSimEventsCanceled
-	CSimCompactions
 	CSimProcsSpawned
 	// internal/nat: binding-table lifecycle.
 	CNATBindingsCreated
@@ -66,7 +65,6 @@ var counterNames = [NumCounters]string{
 	CSimEventsScheduled: "sim_events_scheduled",
 	CSimEventsFired:     "sim_events_fired",
 	CSimEventsCanceled:  "sim_events_canceled",
-	CSimCompactions:     "sim_compactions",
 	CSimProcsSpawned:    "sim_procs_spawned",
 	CNATBindingsCreated: "nat_bindings_created",
 	CNATBindingsExpired: "nat_bindings_expired",

@@ -20,9 +20,6 @@ const (
 	// TraceDrop records a refused packet (arg = DropReason registry
 	// index).
 	TraceDrop
-	// TraceCompaction records an event-heap compaction (arg = dead
-	// records drained).
-	TraceCompaction
 	// NumTraceKinds bounds the registry; it is not a kind.
 	NumTraceKinds
 )
@@ -33,7 +30,6 @@ var traceKindNames = [NumTraceKinds]string{
 	TraceBindingCreate: "binding_create",
 	TraceBindingExpire: "binding_expire",
 	TraceDrop:          "drop",
-	TraceCompaction:    "compaction",
 }
 
 // Name returns the kind's stable identifier.
@@ -54,7 +50,6 @@ var traceStride = [NumTraceKinds]uint32{
 	TraceBindingCreate: 64,
 	TraceBindingExpire: 64,
 	TraceDrop:          64,
-	TraceCompaction:    1,
 }
 
 // TraceCap is the ring's capacity: it retains the most recent TraceCap

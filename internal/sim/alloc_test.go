@@ -66,44 +66,25 @@ func TestStaleHandleCancel(t *testing.T) {
 	}
 }
 
-// TestCancelCompaction drives the canceled fraction of the queue high
-// enough to trigger compaction and checks that the survivors still
-// fire in timestamp order.
-func TestCancelCompaction(t *testing.T) {
+// TestAllocsCancelMidHeap pins Cancel of an event deep inside a
+// populated heap at 0 allocs: the removal fills the hole and re-sifts
+// in place.
+func TestAllocsCancelMidHeap(t *testing.T) {
 	s := New(1)
-	var order []int
-	var events []Event
-	const n = 1024
-	for i := 0; i < n; i++ {
-		i := i
-		events = append(events, s.After(time.Duration(i)*time.Millisecond, func() {
-			order = append(order, i)
-		}))
+	fn := func() {}
+	for j := 0; j < 256; j++ {
+		s.After(time.Duration(j)*time.Microsecond, fn)
 	}
-	// Cancel everything except every 64th event; this exceeds the
-	// compaction threshold many times over.
-	want := 0
-	for i := range events {
-		if i%64 == 0 {
-			want++
-			continue
-		}
-		events[i].Cancel()
+	j := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		j++
+		ev := s.After(time.Duration(j%256)*time.Microsecond+time.Nanosecond, fn)
+		ev.Cancel()
+	}); n != 0 {
+		t.Fatalf("mid-heap cancel allocates %.1f objects per run, want 0", n)
 	}
-	if got := s.Pending(); got != want {
-		t.Fatalf("Pending = %d, want %d", got, want)
-	}
-	s.Run(0)
-	if len(order) != want {
-		t.Fatalf("fired %d events, want %d", len(order), want)
-	}
-	for j := 1; j < len(order); j++ {
-		if order[j] <= order[j-1] {
-			t.Fatalf("events fired out of order: %v", order)
-		}
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending after drain = %d", s.Pending())
+	if s.Pending() != 256 {
+		t.Fatalf("Pending = %d, want 256", s.Pending())
 	}
 }
 

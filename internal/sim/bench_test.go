@@ -93,3 +93,39 @@ func BenchmarkSleepLoop(b *testing.B) {
 func BenchmarkSleepWhile(b *testing.B) {
 	benchmarkPoll(b, func(p *Proc, busy func() bool) { p.SleepWhile(200*time.Microsecond, busy) })
 }
+
+// BenchmarkQueueMix is the queue traffic of a TCP bulk transfer: about
+// 12 near-term events in flight (segments, ACKs, wakes) and three far
+// timers per connection (RTO, receive timeout, NAT refresh), each
+// re-armed by every event its connection fires. One op is one fired
+// near-term event and its three re-arms.
+func BenchmarkQueueMix(b *testing.B) {
+	const conns, inFlight = 4, 12
+	far := [3]time.Duration{time.Second, 2 * time.Minute, 5 * time.Minute}
+	s := New(1)
+	nop := func() {}
+	timers := make([][3]Event, conns)
+	left := 0
+	var fire [inFlight]func()
+	for i := range fire {
+		c := &timers[i%conns]
+		gap := time.Duration(1+i%3) * time.Microsecond
+		fire[i] = func() {
+			for k := range c {
+				c[k].Cancel()
+				c[k] = s.After(far[k], nop)
+			}
+			if left > 0 {
+				left--
+				s.After(gap, fire[i])
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	left = b.N
+	for i := range fire {
+		s.After(0, fire[i])
+	}
+	s.Run(0)
+}

@@ -31,11 +31,23 @@ type Time = time.Duration
 // through a free list; gen distinguishes the current occupant from
 // stale Event handles that still point at the slot.
 type eventRec struct {
-	at       Time
-	seq      uint64 // tie-breaker: FIFO among equal timestamps
-	fn       func()
-	gen      uint32
-	canceled bool
+	fn  func()
+	gen uint32
+	pos int32 // the event's index in Sim.heap
+}
+
+// heapEntry is one event in the queue's heap. The ordering key is
+// stored inline, so sifting compares entries without touching the
+// slab.
+type heapEntry struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among equal timestamps
+	idx int32  // slab slot of the event's callback
+}
+
+// before orders heap entries by (at, seq).
+func (a *heapEntry) before(b *heapEntry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Event is a handle to a scheduled callback that can be canceled. The
@@ -47,41 +59,32 @@ type Event struct {
 	s        *Sim
 	idx      int32
 	gen      uint32
-	canceled bool // Cancel was called through this handle
+	canceled bool // a Cancel through this handle removed the event
 }
 
-// Cancel prevents the event's callback from running. Canceling an event
-// that already fired (or was already canceled) is a no-op.
+// Cancel prevents the event's callback from running and removes it
+// from the queue at once. Canceling an event that already fired (or
+// was already canceled) is a no-op.
 func (e *Event) Cancel() {
 	if e == nil || e.s == nil {
 		return
 	}
-	rec := &e.s.slab[e.idx]
+	s := e.s
+	rec := &s.slab[e.idx]
 	if rec.gen != e.gen {
-		return // already fired and recycled
+		return // already fired or canceled, and recycled
 	}
 	e.canceled = true
-	if rec.canceled {
-		return
-	}
-	rec.canceled = true
-	rec.fn = nil // release the closure now; the slot drains lazily
-	e.s.live--
-	e.s.dead++
-	e.s.obs.Inc(obs.CSimEventsCanceled)
-	e.s.maybeCompact()
+	s.heapRemove(int(rec.pos))
+	s.recycle(e.idx)
+	s.obs.Inc(obs.CSimEventsCanceled)
 }
 
-// Canceled reports whether Cancel was called on the event.
+// Canceled reports whether a Cancel made through this handle removed
+// the event. Event is a value: a copy taken before the Cancel does not
+// see it, and reports false.
 func (e *Event) Canceled() bool {
-	if e == nil || e.s == nil {
-		return false
-	}
-	if e.canceled {
-		return true
-	}
-	rec := &e.s.slab[e.idx]
-	return rec.gen == e.gen && rec.canceled
+	return e != nil && e.canceled
 }
 
 // Sim is a discrete-event simulator instance. The zero value is not
@@ -89,11 +92,9 @@ func (e *Event) Canceled() bool {
 type Sim struct {
 	now         Time
 	seq         uint64
-	slab        []eventRec // event records, indexed by heap entries
-	free        []int32    // recycled slab slots
-	heap        []int32    // binary min-heap of slab indices, keyed by (at, seq)
-	live        int        // scheduled, uncanceled events (Pending)
-	dead        int        // canceled records still occupying heap entries
+	slab        []eventRec  // event callbacks, indexed by heap entries
+	free        []int32     // recycled slab slots
+	heap        []heapEntry // binary min-heap of the scheduled events
 	rng         *rand.Rand
 	token       chan struct{} // returned to the scheduler when a process parks or exits
 	procs       int           // live (not yet exited) processes
@@ -149,7 +150,7 @@ func (s *Sim) After(d time.Duration, fn func()) Event {
 
 // At schedules fn to run at absolute virtual time t. Times in the past
 // are clamped to the current time. Scheduling is allocation-free in
-// steady state: records live in a slab recycled through a free list,
+// steady state: callbacks live in a slab recycled through a free list,
 // and the returned Event is a value handle.
 func (s *Sim) At(t Time, fn func()) Event {
 	if t < s.now {
@@ -165,12 +166,11 @@ func (s *Sim) At(t Time, fn func()) Event {
 		idx = int32(len(s.slab) - 1)
 		s.obs.GaugeSet(obs.GSimSlabSlots, int64(len(s.slab)))
 	}
-	rec := &s.slab[idx]
-	rec.at, rec.seq, rec.fn, rec.canceled = t, s.seq, fn, false
-	s.heapPush(idx)
-	s.live++
+	s.slab[idx].fn = fn
+	s.heap = append(s.heap, heapEntry{})
+	s.siftUp(len(s.heap)-1, heapEntry{at: t, seq: s.seq, idx: idx})
 	s.obs.Inc(obs.CSimEventsScheduled)
-	return Event{s: s, idx: idx, gen: rec.gen}
+	return Event{s: s, idx: idx, gen: s.slab[idx].gen}
 }
 
 // recycle returns a slab slot to the free list. Bumping gen invalidates
@@ -182,84 +182,64 @@ func (s *Sim) recycle(idx int32) {
 	s.free = append(s.free, idx)
 }
 
-// less orders heap entries by (at, seq).
-func (s *Sim) less(a, b int32) bool {
-	ra, rb := &s.slab[a], &s.slab[b]
-	if ra.at != rb.at {
-		return ra.at < rb.at
-	}
-	return ra.seq < rb.seq
+// place stores e at heap index i and records the position in its slab
+// slot.
+func (s *Sim) place(i int, e heapEntry) {
+	s.heap[i] = e
+	s.slab[e.idx].pos = int32(i)
 }
 
-func (s *Sim) heapPush(idx int32) {
-	s.heap = append(s.heap, idx)
-	i := len(s.heap) - 1
+// siftUp places e at heap index i (a hole) or above it, moving larger
+// parents down.
+func (s *Sim) siftUp(i int, e heapEntry) {
 	h := s.heap
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.less(h[i], h[p]) {
+		if !e.before(&h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		s.place(i, h[p])
 		i = p
 	}
+	s.place(i, e)
 }
 
-// heapPopMin removes and returns the root entry.
-func (s *Sim) heapPopMin() int32 {
-	h := s.heap
-	idx := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	s.heap = h[:n]
-	if n > 1 {
-		s.siftDown(0)
-	}
-	return idx
-}
-
-func (s *Sim) siftDown(i int) {
+// siftDown places e at heap index i (a hole) or below it, moving
+// smaller children up.
+func (s *Sim) siftDown(i int, e heapEntry) {
 	h := s.heap
 	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		m := l
-		if r := l + 1; r < n && s.less(h[r], h[l]) {
-			m = r
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
 		}
-		if !s.less(h[m], h[i]) {
-			return
+		if !h[c].before(&e) {
+			break
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		s.place(i, h[c])
+		i = c
 	}
+	s.place(i, e)
 }
 
-// maybeCompact drains canceled records eagerly once they dominate the
-// heap, so a cancel-heavy workload (NAT timer refreshes) cannot keep
-// the queue arbitrarily larger than its live population.
-func (s *Sim) maybeCompact() {
-	if s.dead < 64 || s.dead*2 <= len(s.heap) {
+// heapRemove deletes the entry at heap index i: the last entry fills
+// the hole and sifts whichever way restores the heap order.
+func (s *Sim) heapRemove(i int) {
+	n := len(s.heap) - 1
+	last := s.heap[n]
+	s.heap = s.heap[:n]
+	if i == n {
 		return
 	}
-	s.obs.Inc(obs.CSimCompactions)
-	s.obs.Trace(obs.TraceCompaction, s.now, uint32(s.dead))
-	kept := s.heap[:0]
-	for _, idx := range s.heap {
-		if s.slab[idx].canceled {
-			s.recycle(idx)
-		} else {
-			kept = append(kept, idx)
-		}
+	if i > 0 && last.before(&s.heap[(i-1)/2]) {
+		s.siftUp(i, last)
+	} else {
+		s.siftDown(i, last)
 	}
-	s.heap = kept
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-	s.dead = 0
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -313,24 +293,16 @@ func (s *Sim) Run(horizon time.Duration) Time {
 				}
 			}
 		}
-		idx := s.heap[0]
-		rec := &s.slab[idx]
-		if rec.canceled {
-			s.heapPopMin()
-			s.dead--
-			s.recycle(idx)
-			continue
-		}
-		if horizon > 0 && rec.at > horizon {
+		top := s.heap[0]
+		if horizon > 0 && top.at > horizon {
 			// Leave it queued for a potential later Run call.
 			s.now = horizon
 			return s.now
 		}
-		at, fn := rec.at, rec.fn
-		s.heapPopMin()
-		s.live--
-		s.recycle(idx)
-		s.now = at
+		fn := s.slab[top.idx].fn
+		s.heapRemove(0)
+		s.recycle(top.idx)
+		s.now = top.at
 		s.obs.Inc(obs.CSimEventsFired)
 		fn()
 	}
@@ -342,9 +314,9 @@ func (s *Sim) Run(horizon time.Duration) Time {
 func (s *Sim) Stalled() int { return s.parked }
 
 // Pending returns the number of scheduled (uncanceled) events. It is
-// O(1): a live-event counter is maintained on schedule/cancel/fire, so
-// hot progress paths can poll it freely.
-func (s *Sim) Pending() int { return s.live }
+// O(1): the heap holds exactly those events, so hot progress paths can
+// poll it freely.
+func (s *Sim) Pending() int { return len(s.heap) }
 
 // A Proc is a cooperatively scheduled simulator process. All methods
 // must be called from the process's own goroutine.
